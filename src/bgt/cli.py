@@ -1,8 +1,9 @@
 """argparse front end: generate, simulate, schedule, certify, benchmark.
 
 Exit codes: 0 = success / every certification passed; 1 = a certification
-failed (bound violated, invalid schedule, oracle budget exhausted); 2 =
-malformed input, with a message naming the offending field.
+failed (bound violated, invalid schedule, oracle budget exhausted, internal
+certificate broken); 2 = malformed input, with a message naming the
+offending field.
 
 Rationals in emitted JSON/CSV are "numerator/denominator" strings; columns
 suffixed _approx are float conveniences, not exact values.
@@ -32,6 +33,7 @@ from .continuous import (
     lower_bound_mst,
 )
 from .core import (
+    CertificateError,
     InstanceFormatError,
     ListSchedule,
     RateVector,
@@ -567,7 +569,7 @@ def main(argv=None) -> int:
     except ScheduleError as exc:
         print(f"bgt: schedule invalid: {exc}", file=sys.stderr)
         return 1
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, CertificateError) as exc:
         print(f"bgt: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -35,6 +35,11 @@ class ScheduleError(ValueError):
     """A schedule violates its structural invariants (collision, bad index...)."""
 
 
+class CertificateError(RuntimeError):
+    """A certificate the program vouches for failed to hold: an internal
+    fault, never malformed input.  Raised explicitly, so it survives -O."""
+
+
 def frac(value) -> Fraction:
     """Convert a value to an exact Fraction.
 
@@ -414,23 +419,6 @@ def simulate_walk(
 def lower_bound_H(rates: RateVector) -> Fraction:
     """H = sum of growth rates: the universal lower bound on any schedule."""
     return rates.H
-
-
-def cap_refutation_horizon(rates: RateVector, cap) -> int:
-    """Rounds within which *any* schedule must push some height above `cap`.
-
-    Total height grows by H per round and a single cut removes at most `cap`
-    while all heights stay <= cap, so the total after T rounds is at least
-    T*(H - cap); it is also at most n*cap.  Hence no schedule survives past
-    floor(n*cap / (H - cap)) + 1 rounds with all heights <= cap < H.
-    """
-    cap = frac(cap)
-    if cap >= rates.H:
-        raise ValueError(f"cap {cap} >= H = {rates.H}: nothing to refute")
-    if cap <= 0:
-        return 1
-    bound = (rates.n * cap) / (rates.H - cap)
-    return bound.numerator // bound.denominator + 1
 
 
 def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:

@@ -9,9 +9,16 @@ lower index (rates are sorted, so that is also the largest-rate choice).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import RateVector, SimulationReport, frac, simulate_discrete
+
+
+def _integer_weights(rates: RateVector) -> tuple[list[int], int]:
+    """Rates as integers h_i * D over their common denominator D."""
+    d = lcm(*(h.denominator for h in rates.rates))
+    return [h.numerator * (d // h.denominator) for h in rates.rates], d
 
 
 def reduce_max(rates: RateVector, horizon: int) -> tuple[list[int], SimulationReport]:
@@ -22,21 +29,15 @@ def reduce_max(rates: RateVector, horizon: int) -> tuple[list[int], SimulationRe
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    h = rates.rates
-    n = rates.n
-    ages = [0] * n
+    w, _ = _integer_weights(rates)
+    last = [0] * rates.n  # round of the latest cut; bamboo i is (r - last[i]) * w[i] tall
     schedule = []
-    for _ in range(horizon):
-        best = 0
-        best_key = ((ages[0] + 1) * h[0], h[0], 0)
-        for i in range(1, n):
-            key = ((ages[i] + 1) * h[i], h[i], -i)
-            if key > best_key:
-                best_key = key
-                best = i
-        for i in range(n):
-            ages[i] += 1
-        ages[best] = 0
+    for r in range(1, horizon + 1):
+        heights = [(r - t_i) * w_i for t_i, w_i in zip(last, w)]
+        # rates are sorted non-increasing, so the first tallest bamboo is also
+        # the largest-rate one among the tallest
+        best = heights.index(max(heights))
+        last[best] = r
         schedule.append(best + 1)
     return schedule, simulate_discrete(rates, schedule)
 
@@ -53,23 +54,21 @@ def reduce_fastest(
         raise ValueError(f"threshold factor x must be positive, got {x}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    h = rates.rates
-    n = rates.n
-    threshold = x * rates.H
-    ages = [0] * n
+    w, d = _integer_weights(rates)
+    # integer heights reach x*H*D exactly when they reach its ceiling
+    scaled = x * rates.H * d
+    threshold = -(-scaled.numerator // scaled.denominator)
+    last = [0] * rates.n
     schedule = []
-    for _ in range(horizon):
+    for r in range(1, horizon + 1):
         cut = 0
         # rates are sorted non-increasing, so the first bamboo over the
         # threshold is the largest-rate (lowest-index) eligible one
-        for i in range(n):
-            if (ages[i] + 1) * h[i] >= threshold:
+        for i, (t_i, w_i) in enumerate(zip(last, w)):
+            if (r - t_i) * w_i >= threshold:
                 cut = i + 1
+                last[i] = r
                 break
-        for i in range(n):
-            ages[i] += 1
-        if cut:
-            ages[cut - 1] = 0
         schedule.append(cut)
     return schedule, simulate_discrete(rates, schedule)
 

@@ -8,6 +8,28 @@ per-bamboo age limits A_i = floor(M / h_i) that the *grown* vector must
 respect (the grown height is attained at the cut instant, so the coordinate
 about to be cut counts too).  An infinite schedule exists iff the initial
 all-zero state survives iterative removal of dead ends.
+
+The search runs on a symmetry-reduced graph.  Bamboos with equal limits are
+interchangeable; sorted by limit they form contiguous *runs* (for a rate
+vector the limits are already non-decreasing).  A state is the age tuple with
+each run sorted in descending order, and it branches once per run, by
+cutting that run's oldest member: drop the run's first entry and append 0.
+This loses nothing, because feasibility is monotone in the ages and cutting
+a younger member of the run leaves an age vector that dominates it.  A
+state whose next grown vector would break a limit is a dead end and is never
+stored; the edge into it is marked instead.  The reduced graph is the image
+of the unreduced one, so it is never larger; the state budget counts the
+reduced states stored.
+
+Two density rules, with D = sum of 1/A_i, avoid searches:
+
+* D > 1 refutes a cap outright (bamboo i needs a 1/A_i share of the
+  rounds); every decision function applies it.
+* D <= 5/6 implies feasibility by Kawamura's density theorem for Pinwheel
+  scheduling (STOC 2024).  Only `optimal_height`'s binary search uses it,
+  and only to move the upper end.  The cap it returns is always confirmed
+  by a witness search, and every infeasible verdict comes from a search or
+  from D > 1, so no answer rests on the theorem alone.
 """
 
 from __future__ import annotations
@@ -16,9 +38,10 @@ from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ListSchedule, RateVector, frac
+from .core import CertificateError, ListSchedule, RateVector, frac
 
 DEFAULT_STATE_BUDGET = 10 ** 6
+_KAWAMURA_DENSITY = Fraction(5, 6)
 
 
 class BudgetExceededError(RuntimeError):
@@ -30,49 +53,72 @@ class BudgetExceededError(RuntimeError):
         self.explored = explored
 
 
-def _build_graph(limits: Sequence[int], state_budget: int):
-    """Reachable configuration graph under per-bamboo grown-age limits.
+def _runs(limits: Sequence[int]) -> list[tuple[int, int]]:
+    """Maximal [start, end) index ranges of equal values in sorted limits."""
+    runs = []
+    start = 0
+    for k in range(1, len(limits) + 1):
+        if k == len(limits) or limits[k] != limits[start]:
+            runs.append((start, k))
+            start = k
+    return runs
 
-    Returns (order, succs) where order[k] is the k-th discovered state and
-    succs[k] is the list of successor state ids (one per cut choice), or
-    None when the grown vector violates some limit (a dead end).
+
+def _density(limits: Sequence[int]) -> Fraction | None:
+    """Sum of 1/A_i over sorted limits, or None if some limit is below 1."""
+    if limits[0] < 1:
+        return None
+    return sum((Fraction(b - a, limits[a]) for a, b in _runs(limits)), Fraction(0))
+
+
+def _build_graph(limits: Sequence[int], state_budget: int):
+    """Reachable reduced configuration graph under sorted grown-age limits.
+
+    Only states whose next grown vector respects every limit become nodes
+    (limits must be >= 1, so the start state is one).  Returns (order, succs)
+    where order[k] is the k-th discovered state and succs[k] holds, per run
+    in index order, the id of the state reached by cutting that run's oldest
+    member, or -1 when that state would be a dead end.
     """
-    n = len(limits)
-    start = (0,) * n
+    runs = _runs(limits)
+    heads = [(a, limits[a]) for a, _ in runs]  # a run's first entry is its oldest
+    start = (0,) * len(limits)
     index = {start: 0}
     order = [start]
-    succs: list[list[int] | None] = []
+    succs: list[list[int]] = []
     head = 0
     while head < len(order):
-        s = order[head]
+        grown = tuple([a + 1 for a in order[head]])
         head += 1
-        if any(s[i] + 1 > limits[i] for i in range(n)):
-            succs.append(None)
-            continue
-        grown = tuple(a + 1 for a in s)
-        row = []
-        for c in range(n):
-            t = grown[:c] + (0,) + grown[c + 1:]
-            k = index.get(t)
-            if k is None:
-                k = len(order)
-                if k >= state_budget:
-                    raise BudgetExceededError(state_budget, k)
-                index[t] = k
-                order.append(t)
-            row.append(k)
+        row = [-1] * len(runs)
+        # a run whose oldest member reaches its limit must be cut this round
+        due = [r for r, (a, lim) in enumerate(heads) if grown[a] >= lim]
+        if len(due) < 2:
+            for r in due or range(len(runs)):
+                a, b = runs[r]
+                if b - a > 1 and grown[a + 1] >= limits[a]:
+                    continue  # the run's next oldest would be due as well
+                t = grown[:a] + grown[a + 1:b] + (0,) + grown[b:]
+                k = index.get(t)
+                if k is None:
+                    k = len(order)
+                    if k >= state_budget:
+                        raise BudgetExceededError(state_budget, k)
+                    index[t] = k
+                    order.append(t)
+                row[r] = k
         succs.append(row)
     return order, succs
 
 
-def _peel(succs: list[list[int] | None]) -> list[bool]:
+def _peel(succs: list[list[int]]) -> list[bool]:
     """killed[k] = True iff state k cannot start an infinite schedule."""
     m = len(succs)
-    alive_out = [len(row) if row else 0 for row in succs]
+    alive_out = [len(row) - row.count(-1) for row in succs]
     preds: list[list[int]] = [[] for _ in range(m)]
     for u, row in enumerate(succs):
-        if row:
-            for v in row:
+        for v in row:
+            if v >= 0:
                 preds[v].append(u)
     killed = [c == 0 for c in alive_out]
     queue = deque(u for u in range(m) if killed[u])
@@ -87,47 +133,65 @@ def _peel(succs: list[list[int] | None]) -> list[bool]:
     return killed
 
 
-def _ages_feasible(limits: Sequence[int], state_budget: int) -> bool:
-    if any(f < 1 for f in limits):
-        return False
+def _search(limits: Sequence[int], state_budget: int):
+    """(succs, killed) of the peeled reduced graph for sorted limits, or None
+    when the density already refutes them."""
+    density = _density(limits)
+    if density is None or density > 1:
+        return None
     _, succs = _build_graph(limits, state_budget)
-    return not _peel(succs)[0]
+    return succs, _peel(succs)
+
+
+def _ages_feasible(limits: Sequence[int], state_budget: int) -> bool:
+    solved = _search(sorted(limits), state_budget)
+    return solved is not None and not solved[1][0]
+
+
+def _walk(limits: Sequence[int], solved):
+    """Deterministic (preamble, period) witness from a peeled reduced graph.
+
+    `limits` are in caller order and `solved` was searched on them sorted
+    stably.  Each step takes the first run whose successor survives peeling
+    and cuts the run's oldest concrete member (lowest index on ties), which
+    the replayed concrete ages identify; the first repeated (reduced state,
+    concrete ages) pair closes the cycle.  None if the start state is dead.
+    """
+    if solved is None or solved[1][0]:
+        return None
+    succs, killed = solved
+    perm = sorted(range(len(limits)), key=limits.__getitem__)
+    runs = _runs([limits[i] for i in perm])
+    ages = (0,) * len(limits)
+    seq: list[int] = []
+    cur = 0
+    seen = {(cur, ages): 0}
+    while True:
+        for r, nxt in enumerate(succs[cur]):
+            if nxt >= 0 and not killed[nxt]:
+                break
+        else:
+            raise CertificateError(f"alive state {cur} has no alive successor")
+        a, b = runs[r]
+        cut = max(range(a, b), key=lambda i: (ages[i], -i))
+        grown = [age + 1 for age in ages]
+        grown[cut] = 0
+        ages = tuple(grown)
+        cur = nxt
+        seq.append(perm[cut] + 1)
+        pos = seen.get((cur, ages))
+        if pos is not None:
+            return seq[:pos], seq[pos:]
+        seen[cur, ages] = len(seq)
 
 
 def _ages_witness(limits: Sequence[int], state_budget: int):
-    """Deterministic (preamble, period) witness, or None if infeasible.
-
-    Walks from the initial state always cutting the smallest index whose
-    successor survives peeling; the first revisited state closes the cycle.
-    """
-    if any(f < 1 for f in limits):
-        return None
-    _, succs = _build_graph(limits, state_budget)
-    killed = _peel(succs)
-    if killed[0]:
-        return None
-    n = len(limits)
-    seq: list[int] = []
-    seen = {0: 0}
-    cur = 0
-    while True:
-        row = succs[cur]
-        assert row is not None
-        for c in range(n):
-            if not killed[row[c]]:
-                cur = row[c]
-                seq.append(c + 1)
-                break
-        else:  # pragma: no cover - peeling guarantees a live successor
-            raise AssertionError("alive state with no alive successor")
-        pos = seen.get(cur)
-        if pos is not None:
-            return seq[:pos], seq[pos:]
-        seen[cur] = len(seq)
+    """(preamble, period) witness for the limits, or None if infeasible."""
+    return _walk(limits, _search(sorted(limits), state_budget))
 
 
 def _limits_for_cap(rates: RateVector, cap: Fraction) -> list[int]:
-    # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i)
+    # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i); non-decreasing in i
     return [(cap / h).numerator // (cap / h).denominator for h in rates.rates]
 
 
@@ -165,21 +229,38 @@ def optimal_height(
     """Exact OPT and a witness cyclic schedule attaining it.
 
     Binary search over the sorted candidate heights (feasibility is monotone
-    in the cap: a larger cap only loosens every age limit).  The witness is
-    extracted from the surviving configuration graph at the optimal cap; its
-    evaluate_cyclic global_max equals the returned OPT exactly.
+    in the cap: a larger cap only loosens every age limit).  A cap is refuted
+    only by a search or by density > 1; density <= 5/6 lowers the upper end
+    without a search.  The witness is extracted from the surviving reduced
+    graph at the optimal cap, which confirms it; its evaluate_cyclic
+    global_max equals the returned OPT exactly.
+
+    Raises CertificateError if the final cap admits no witness.
     """
     cands = opt_candidates(rates)
     lo, hi = 0, len(cands) - 1
+    searched = None  # (candidate index, solved graph) of the last feasible search
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible_under_cap(rates, cands[mid], state_budget):
+        limits = _limits_for_cap(rates, cands[mid])
+        density = _density(limits)
+        if density is None or density > 1:
+            lo = mid + 1
+        elif density <= _KAWAMURA_DENSITY:
             hi = mid
         else:
-            lo = mid + 1
+            solved = _search(limits, state_budget)
+            if solved[1][0]:
+                lo = mid + 1
+            else:
+                hi = mid
+                searched = (mid, solved)
     opt = cands[lo]
-    witness = _ages_witness(_limits_for_cap(rates, opt), state_budget)
-    assert witness is not None
+    limits = _limits_for_cap(rates, opt)
+    solved = searched[1] if searched and searched[0] == lo else _search(limits, state_budget)
+    witness = _walk(limits, solved)
+    if witness is None:
+        raise CertificateError(f"no witness schedule at the optimal cap {opt}")
     preamble, period = witness
     return opt, ListSchedule(tuple(preamble), tuple(period), rates.n)
 

@@ -155,6 +155,14 @@ def test_continuous_gen_run_and_lb(tmp_path, capsys):
     assert lb["diameter_bound"] == "1/4"  # D * h_max = 1 * 1/4
 
 
+def test_oracle_missing_witness_is_exit_1(inst715, capsys, monkeypatch):
+    import bgt.oracle
+
+    monkeypatch.setattr(bgt.oracle, "_walk", lambda limits, solved: None)
+    assert main(["oracle", "opt", inst715]) == 1
+    assert "no witness" in capsys.readouterr().err
+
+
 def test_oracle_budget_env(inst715, capsys, monkeypatch):
     monkeypatch.setenv("BGT_ORACLE_BUDGET", "2")
     assert main(["oracle", "opt", inst715]) == 1

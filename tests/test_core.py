@@ -13,7 +13,6 @@ from bgt import (
     RateVector,
     ResidueSchedule,
     ScheduleError,
-    cap_refutation_horizon,
     evaluate_cyclic,
     frac,
     gen_planted_head,
@@ -144,15 +143,6 @@ def test_evaluate_cyclic_rejects_uncovered_bamboo():
     rates = RateVector([F(1, 2), F(1, 4)])
     with pytest.raises(ScheduleError):
         evaluate_cyclic(rates, ListSchedule((), (1,), 1))
-
-
-def test_cap_refutation_horizon():
-    rates = RateVector([F(1, 2), F(1, 2)])  # H = 1
-    horizon = cap_refutation_horizon(rates, F(1, 2))
-    # with cap 1/2 < H some bamboo must exceed it within the bound
-    assert horizon == 2 * F(1, 2) / (1 - F(1, 2)) + 1
-    with pytest.raises(ValueError):
-        cap_refutation_horizon(rates, 1)
 
 
 def test_simulate_walk_strict_legs_and_tail():

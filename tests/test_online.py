@@ -110,3 +110,51 @@ def test_diverging_bamboo_none_on_healthy_trace():
     rates = RateVector([F(1, 2), F(1, 4)])
     schedule, _ = reduce_max(rates, 40)
     assert diverging_bamboo(rates, schedule) is None
+
+
+def _reference_reduce_max(rates, horizon):
+    """Fraction ages loop: the tallest bamboo, then the larger rate, then the lower index."""
+    h = rates.rates
+    ages = [0] * rates.n
+    schedule = []
+    for _ in range(horizon):
+        best = max(range(rates.n), key=lambda i: ((ages[i] + 1) * h[i], h[i], -i))
+        ages = [a + 1 for a in ages]
+        ages[best] = 0
+        schedule.append(best + 1)
+    return schedule
+
+
+def _reference_reduce_fastest(rates, x, horizon):
+    """Fraction ages loop: the lowest index at height >= x*H, or idle (0)."""
+    h = rates.rates
+    threshold = x * rates.H
+    ages = [0] * rates.n
+    schedule = []
+    for _ in range(horizon):
+        cut = next((i + 1 for i in range(rates.n) if (ages[i] + 1) * h[i] >= threshold), 0)
+        ages = [a + 1 for a in ages]
+        if cut:
+            ages[cut - 1] = 0
+        schedule.append(cut)
+    return schedule
+
+
+def _greedy_instances():
+    import random
+
+    rng = random.Random(11)
+    yield from (gen_reduce_max_12_7_family(k) for k in range(1, 6))
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        # few distinct values, so equal rates and equal heights both occur
+        den = rng.choice([4, 6, 12, 35])
+        yield RateVector.sorted_from([F(rng.randint(1, 6), den) for _ in range(n)])
+
+
+@pytest.mark.parametrize("rates", list(_greedy_instances()))
+def test_integer_greedy_loops_match_fraction_reference(rates):
+    horizon = 4 * rates.n + 20
+    assert reduce_max(rates, horizon)[0] == _reference_reduce_max(rates, horizon)
+    for x in (F(1, 2), F(1), F(7, 6), F(3, 2), F(2), F(5, 2)):
+        assert reduce_fastest(rates, x, horizon)[0] == _reference_reduce_fastest(rates, x, horizon)
