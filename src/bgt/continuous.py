@@ -12,9 +12,15 @@ patrol strategies trade generality for height guarantees:
   sweeping the negligible-rate points (V_0) one per outer iteration
   (class gap <= (3s+1)(D + 2*MST(V_i)), V_0 gap <= (3Ds+D)*|V_0|).
 
-Also here: exact MST/Euler-tour machinery, the diameter and MST lower
-bounds, the discrete-to-continuous reduction, and the adversarial instance
-generators (spiral, two clusters) plus a random-metric generator.
+Travel times are exact rationals.  Each instance also holds them once as
+integers over their common denominator (int64 when they fit, Python ints
+otherwise); validation, the one Prim MST kernel behind tours and
+certificates, and the MST lower bound, which is incremental over rate
+prefixes, all run on that integer matrix.  Walks and reports stay Fractions.
+
+Also here: Euler tours, the diameter and MST lower bounds, the
+discrete-to-continuous reduction, and the adversarial instance generators
+(spiral, two clusters) plus a random-metric generator.
 """
 
 from __future__ import annotations
@@ -28,55 +34,66 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InstanceFormatError, RateVector, ResidueSchedule, frac
+from .core import CertificateError, InstanceFormatError, RateVector, ResidueSchedule, frac
 from .pinwheel import two_approx
 
 _INT64_LIMIT = 1 << 61  # headroom so a sum of two scaled entries cannot overflow
 
 
-def _validate_triangle(travel, n: int) -> None:
-    scale = 1
-    for row in travel:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-            if scale > _INT64_LIMIT:
-                break
-        if scale > _INT64_LIMIT:
-            break
-    use_ints = scale <= _INT64_LIMIT
-    if use_ints:
-        top = max(x.numerator * (scale // x.denominator) for row in travel for x in row)
-        use_ints = top <= _INT64_LIMIT
-    if use_ints:
-        m = np.array(
-            [[x.numerator * (scale // x.denominator) for x in row] for row in travel],
-            dtype=np.int64,
-        )
-        for k in range(n):
-            bad = m > m[:, k][:, None] + m[k][None, :]
-            if bad.any():
-                i, j = map(int, np.argwhere(bad)[0])
-                raise InstanceFormatError(
-                    "travel",
-                    f"triangle inequality violated: t[{i}][{j}] > t[{i}][{k}] + t[{k}][{j}]",
-                )
-        return
+def _scaled(rows) -> tuple[np.ndarray, int]:
+    """A square matrix of rationals as integers over their common denominator.
+
+    Returns (m, scale) with rows[i][j] == m[i, j] / scale.  m is int64 when
+    every entry fits within 2^61 in absolute value, so the sum of two entries
+    cannot overflow; otherwise it holds Python ints (dtype object), on which
+    the same numpy expressions run exactly.
+    """
+    dens = {x.denominator for row in rows for x in row}
+    scale = lcm(*dens)
+    mult = {d: scale // d for d in dens}
+    ints = [[x.numerator * mult[x.denominator] for x in row] for row in rows]
+    fits = scale <= _INT64_LIMIT and all(
+        -_INT64_LIMIT <= min(row) and max(row) <= _INT64_LIMIT for row in ints
+    )
+    return np.array(ints, dtype=np.int64 if fits else object), scale
+
+
+def _check_travel(m: np.ndarray) -> None:
+    """Zero diagonal, symmetric, positive off the diagonal, triangle inequality.
+
+    The first defect of a row-by-row scan is reported, a row's diagonal
+    entry before its other entries.
+    """
+    n = len(m)
+    diag = np.diagonal(m) != 0
+    asym = np.triu(m != m.T, 1)
+    nonpos = np.triu(m <= 0, 1)
+    rows = np.flatnonzero(diag | asym.any(axis=1) | nonpos.any(axis=1))
+    if rows.size:
+        i = int(rows[0])
+        if diag[i]:
+            raise InstanceFormatError("travel", f"nonzero diagonal entry t[{i}][{i}]")
+        j = int(np.flatnonzero(asym[i] | nonpos[i])[0])
+        if asym[i, j]:
+            raise InstanceFormatError("travel", f"asymmetric: t[{i}][{j}] != t[{j}][{i}]")
+        raise InstanceFormatError("travel", f"nonpositive distance t[{i}][{j}]")
     for k in range(n):
-        row_k = travel[k]
-        for i in range(n):
-            tik = travel[i][k]
-            row_i = travel[i]
-            for j in range(n):
-                if row_i[j] > tik + row_k[j]:
-                    raise InstanceFormatError(
-                        "travel",
-                        f"triangle inequality violated: t[{i}][{j}] > t[{i}][{k}] + t[{k}][{j}]",
-                    )
+        bad = m > m[:, k][:, None] + m[k][None, :]
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise InstanceFormatError(
+                "travel",
+                f"triangle inequality violated: t[{i}][{j}] > t[{i}][{k}] + t[{k}][{j}]",
+            )
 
 
 @dataclass(frozen=True)
 class MetricInstance:
-    """n points, exact pairwise travel times, rates summing to 1 (start = b_1)."""
+    """n points, exact pairwise travel times, rates summing to 1 (start = b_1).
+
+    `travel` stays a matrix of Fractions; validation and every MST run on
+    its integer form over the common denominator, built once here.
+    """
 
     rates: RateVector
     travel: tuple[tuple[Fraction, ...], ...]
@@ -97,21 +114,13 @@ class MetricInstance:
         object.__setattr__(self, "travel", travel)
         if len(travel) != n or any(len(row) != n for row in travel):
             raise InstanceFormatError("travel", f"must be an {n}x{n} matrix (one row per rate)")
-        diameter = Fraction(0)
-        for i in range(n):
-            if travel[i][i] != 0:
-                raise InstanceFormatError("travel", f"nonzero diagonal entry t[{i}][{i}]")
-            for j in range(i + 1, n):
-                if travel[i][j] != travel[j][i]:
-                    raise InstanceFormatError("travel", f"asymmetric: t[{i}][{j}] != t[{j}][{i}]")
-                if travel[i][j] <= 0:
-                    raise InstanceFormatError("travel", f"nonpositive distance t[{i}][{j}]")
-                if travel[i][j] > diameter:
-                    diameter = travel[i][j]
-        _validate_triangle(travel, n)
+        ticks, scale = _scaled(travel)
+        _check_travel(ticks)
         if not isinstance(self.start, int) or not 1 <= self.start <= n:
             raise InstanceFormatError("start", f"start must be a point index in 1..{n}")
-        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "_ticks", ticks)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_diameter", Fraction(int(ticks.max()), scale))
 
     @property
     def n(self) -> int:
@@ -133,34 +142,61 @@ class MetricInstance:
 # ---------------------------------------------------------------------------
 
 
-def mst(vertices: Sequence[int], travel) -> tuple[list[tuple[int, int]], Fraction]:
-    """Prim's MST over a vertex subset (1-based ids) of a dense metric.
+def _prim(m: np.ndarray, verts: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """Prim's MST on an integer matrix whose rows and columns are `verts`
+    (sorted 1-based ids): the tree's edges in the order added, and its weight.
 
     Deterministic: among equal-weight candidate edges the one with the
     smaller tree endpoint, then smaller outside endpoint, wins.
     """
+    k = len(verts)
+    taken = m.max() + 1               # above every weight: marks points in the tree
+    best = m[0].copy()                # cheapest edge from the tree to each point...
+    parent = np.zeros(k, dtype=np.intp)  # ...and its tree endpoint (a position)
+    outside = np.ones(k, dtype=bool)
+    outside[0] = False
+    best[0] = taken
+    edges: list[tuple[int, int]] = []
+    total = 0
+    for _ in range(k - 1):
+        w = best.min()
+        ties = np.flatnonzero(best == w)
+        x = int(ties[np.argmin(parent[ties])])  # first minimum: smallest outside point
+        u, v = verts[int(parent[x])], verts[x]
+        edges.append((u, v) if u < v else (v, u))
+        total += int(w)
+        outside[x] = False
+        best[x] = taken
+        d = m[x]
+        better = outside & ((d < best) | ((d == best) & (parent > x)))
+        best[better] = d[better]
+        parent[better] = x
+    return edges, total
+
+
+def _tree(
+    instance: MetricInstance, members: Sequence[int]
+) -> tuple[list[tuple[int, int]], Fraction]:
+    """`mst` over sorted `members` on the instance's integer travel matrix."""
+    idx = np.asarray(members, dtype=np.intp) - 1
+    edges, w = _prim(instance._ticks[np.ix_(idx, idx)], members)
+    return edges, Fraction(w, instance._scale)
+
+
+def mst(vertices: Sequence[int], travel) -> tuple[list[tuple[int, int]], Fraction]:
+    """Prim's MST over a vertex subset (1-based ids) of a dense metric.
+
+    The travel entries (Fractions or ints) are scaled to integers over
+    their common denominator first.  Deterministic: among equal-weight
+    candidate edges the one with the smaller tree endpoint, then smaller
+    outside endpoint, wins.
+    """
     verts = sorted({int(v) for v in vertices})
     if not verts:
         raise ValueError("need at least one point")
-    if len(verts) == 1:
-        return [], Fraction(0)
-    root = verts[0]
-    best = {v: (travel[root - 1][v - 1], root) for v in verts[1:]}
-    remaining = set(verts[1:])
-    edges: list[tuple[int, int]] = []
-    total = Fraction(0)
-    while remaining:
-        w, u, v = min((best[x][0], best[x][1], x) for x in remaining)
-        remaining.discard(v)
-        del best[v]
-        edges.append((u, v) if u < v else (v, u))
-        total += w
-        for x in remaining:
-            d = travel[v - 1][x - 1]
-            bw, bu = best[x]
-            if d < bw or (d == bw and v < bu):
-                best[x] = (d, v)
-    return edges, total
+    m, scale = _scaled([[travel[a - 1][b - 1] for b in verts] for a in verts])
+    edges, w = _prim(m, verts)
+    return edges, Fraction(w, scale)
 
 
 def euler_tour(edges: Sequence[tuple[int, int]], root: int) -> list[int]:
@@ -203,11 +239,9 @@ def euler_tour(edges: Sequence[tuple[int, int]], root: int) -> list[int]:
 
 @dataclass
 class ClassTour:
-    """One rate class's patrol state: its MST, cyclic Euler tour, cursor."""
+    """One rate class's patrol state: its MST's cyclic Euler tour and cursor."""
 
     members: tuple[int, ...]
-    mst_edges: tuple[tuple[int, int], ...]
-    mst_weight: Fraction
     tour: tuple[int, ...]  # cyclic vertex sequence; the closing edge wraps around
     cursor: int            # tour index of the last visited position
 
@@ -223,7 +257,7 @@ class TourState:
 
 def _class_tour(instance: MetricInstance, members: Sequence[int]) -> ClassTour:
     members = sorted(members)
-    edges, weight = mst(members, instance.travel)
+    edges, _ = _tree(instance, members)
     if len(members) == 1:
         tour: tuple[int, ...] = (members[0],)
     else:
@@ -231,7 +265,7 @@ def _class_tour(instance: MetricInstance, members: Sequence[int]) -> ClassTour:
         tour = tuple(closed[:-1])
     srow = instance.travel[instance.start - 1]
     cursor = min(range(len(tour)), key=lambda k: (srow[tour[k] - 1], k))
-    return ClassTour(tuple(members), tuple(edges), weight, tour, cursor)
+    return ClassTour(tuple(members), tour, cursor)
 
 
 def _patrol(
@@ -299,7 +333,7 @@ def algorithm1(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     horizon = frac(horizon_time)
     if horizon <= 0:
         raise ValueError("horizon_time must be positive")
-    edges, _ = mst(range(1, instance.n + 1), instance.travel)
+    edges, _ = _tree(instance, range(1, instance.n + 1))
     closed = euler_tour(edges, instance.start)
     travel = instance.travel
     t = Fraction(0)
@@ -392,7 +426,7 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
     rs = instance.rates
     D = instance.diameter
     if algo == 1 or (algo == 2 and rs.rates[0] == rs.rates[-1]):
-        _, w = mst(range(1, instance.n + 1), instance.travel)
+        _, w = _tree(instance, range(1, instance.n + 1))
         return 2 * w * rs.rates[0]
     if algo == 2:
         classes = algorithm2_classes(instance)
@@ -401,7 +435,7 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
         for cls in classes:
             if not cls:
                 continue
-            _, w = mst(cls, instance.travel)
+            _, w = _tree(instance, cls)
             hmax = max(rs.rate(i) for i in cls)
             best = max(best, 3 * s * (D + 2 * w) * hmax)
         return best
@@ -413,7 +447,7 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
     for cls in classes:
         if not cls:
             continue
-        _, w = mst(cls, instance.travel)
+        _, w = _tree(instance, cls)
         hmax = max(rs.rate(i) for i in cls)
         best = max(best, (3 * s + 1) * (D + 2 * w) * hmax)
     if v0:
@@ -438,21 +472,52 @@ def lower_bound_diameter(instance: MetricInstance) -> Fraction:
 
 def lower_bound_mst(instance: MetricInstance) -> tuple[Fraction, tuple[int, ...]]:
     """max over thresholds h of h * MST({points with rate >= h}), with the
-    maximizing set.
+    maximizing set (the first one, highest threshold, on ties).
 
     Any window shorter than MST(V') leaves some point of V' unvisited (a
     walk touching all of V' yields a spanning tree no heavier than its
     length), so some height reaches h_min(V') * MST(V') infinitely often.
+
+    Rates are sorted, so each threshold's set extends the previous one by
+    the points just reached.  By the cycle property an MST of the larger set
+    needs only the previous MST's edges and the edges at the new points, so
+    each threshold costs one Kruskal over those, in integer weights.
     """
-    rs = instance.rates
+    rates = instance.rates.rates
+    n = len(rates)
+    m = instance._ticks
     best = Fraction(0)
     best_set: tuple[int, ...] = (1,)
-    for h in sorted(set(rs.rates), reverse=True):
-        members = [i for i in range(1, rs.n + 1) if rs.rate(i) >= h]
-        _, weight = mst(members, instance.travel)
-        if h * weight > best:
-            best = h * weight
-            best_set = tuple(members)
+    tree_u = tree_v = np.zeros(0, dtype=np.intp)  # 0-based endpoints of the current MST
+    p = 0
+    for q in range(1, n + 1):
+        if q < n and rates[q] == rates[q - 1]:
+            continue
+        new = np.arange(p, q)
+        us = np.concatenate([tree_u, *(np.arange(b) for b in new)])
+        vs = np.concatenate([tree_v, np.repeat(new, new)])
+        w = m[us, vs]
+        order = np.argsort(w, kind="stable")
+        root = list(range(q))
+        kept: list[int] = []
+        weight = 0
+        ends = zip(order.tolist(), us[order].tolist(), vs[order].tolist(), w[order].tolist())
+        for e, a, b, d in ends:
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                kept.append(e)
+                weight += d
+                if len(kept) == q - 1:
+                    break
+        tree_u, tree_v, p = us[kept], vs[kept], q
+        value = rates[q - 1] * Fraction(weight, instance._scale)
+        if value > best:
+            best = value
+            best_set = tuple(range(1, q + 1))
     return best, best_set
 
 
@@ -462,6 +527,7 @@ def discrete_as_continuous(rates: RateVector) -> tuple[ResidueSchedule, dict]:
     Bamboo i is cut every q_i rounds, each round costs at most one diameter
     of travel, so its height stays within (h_i * q_i) * D <= 2H * D; against
     the D*h_max lower bound that is a 2H/h_max approximation factor.
+    Raises CertificateError if a coefficient h_i * q_i exceeds 2H.
     """
     sched = two_approx(rates)
     per = []
@@ -470,7 +536,8 @@ def discrete_as_continuous(rates: RateVector) -> tuple[ResidueSchedule, dict]:
         coeff = rates.rate(i) * q
         worst = max(worst, coeff)
         per.append({"index": i, "frequency": q, "coefficient": coeff})
-    assert worst <= 2 * rates.H
+    if worst > 2 * rates.H:
+        raise CertificateError(f"two_approx coefficient {worst} exceeds 2H = {2 * rates.H}")
     report = {
         "per_bamboo": per,
         "max_coefficient": worst,

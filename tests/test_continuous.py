@@ -1,17 +1,21 @@
 """Continuous patrols: metrics, MST tours, the three algorithms, lower bounds."""
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgt import (
+    CertificateError,
     InstanceFormatError,
     MetricInstance,
     RateVector,
+    ResidueSchedule,
     algorithm1,
     algorithm2,
     algorithm2_classes,
@@ -31,7 +35,8 @@ from bgt import (
     two_approx,
     two_cluster_sweep,
 )
-from bgt.continuous import TourState, _class_tour, _patrol
+from bgt import continuous
+from bgt.continuous import TourState, _class_tour, _patrol, _scaled, _tree
 
 
 def _line_instance(coords, rates):
@@ -46,24 +51,52 @@ TWO_PT = MetricInstance(RateVector([F(2, 3), F(1, 3)]), ((F(0), F(5)), (F(5), F(
 
 # --- validation ------------------------------------------------------------
 
+# Mersenne primes 2^61 - 1 and 2^31 - 1: any matrix with both denominators
+# has a common denominator above 2^61, so it is held as Python ints.
+_P61, _P31 = (1 << 61) - 1, (1 << 31) - 1
+
+
+# Each case runs on integer matrices of both kinds: as given (int64) and with
+# every entry divided by _P61 * _P31 (Python ints).  The first eight cases
+# keep pytest's positional ids, so results stay comparable with earlier runs.
 @pytest.mark.parametrize(
-    "rates,travel,start,field",
+    "rates,travel,start,field,message",
     [
-        ([F(1, 2), F(1, 2)], ((0, 1), (2, 0)), 1, "travel"),           # asymmetric
-        ([F(1, 2), F(1, 2)], ((1, 1), (1, 0)), 1, "travel"),           # diagonal
-        ([F(1, 2), F(1, 2)], ((0, 0), (0, 0)), 1, "travel"),           # nonpositive
-        ([F(1, 2), F(1, 4), F(1, 4)],
-         ((0, 1, 3), (1, 0, 1), (3, 1, 0)), 1, "travel"),              # triangle
-        ([F(1, 2), F(1, 4)], ((0, 1), (1, 0)), 1, "rates"),            # H != 1
-        ([F(1)], ((0,),), 1, "rates"),                                 # n < 2
-        ([F(1, 2), F(1, 2)], ((0, 1), (1, 0)), 3, "start"),
-        ([F(1, 2), F(1, 2)], ((0, 1), (1, 0)), 0, "start"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 1), (2, 0)), 1, "travel",
+                     "asymmetric: t[0][1] != t[1][0]", id="rates0-travel0-1-travel"),
+        pytest.param([F(1, 2), F(1, 2)], ((1, 1), (1, 0)), 1, "travel",
+                     "nonzero diagonal entry t[0][0]", id="rates1-travel1-1-travel"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 0), (0, 0)), 1, "travel",
+                     "nonpositive distance t[0][1]", id="rates2-travel2-1-travel"),
+        pytest.param([F(1, 2), F(1, 4), F(1, 4)], ((0, 1, 3), (1, 0, 1), (3, 1, 0)), 1, "travel",
+                     "triangle inequality violated: t[0][2] > t[0][1] + t[1][2]",
+                     id="rates3-travel3-1-travel"),
+        pytest.param([F(1, 2), F(1, 4)], ((0, 1), (1, 0)), 1, "rates",
+                     "rates must sum to 1 (got 3/4); use MetricInstance.normalized",
+                     id="rates4-travel4-1-rates"),
+        pytest.param([F(1)], ((0,),), 1, "rates",
+                     "a metric instance needs at least 2 points", id="rates5-travel5-1-rates"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 1), (1, 0)), 3, "start",
+                     "start must be a point index in 1..2", id="rates6-travel6-3-start"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 1), (1, 0)), 0, "start",
+                     "start must be a point index in 1..2", id="rates7-travel7-0-start"),
+        pytest.param([F(1, 2), F(1, 4), F(1, 4)], ((0, 1, 1), (1, 0, 0), (1, 0, 0)), 1, "travel",
+                     "nonpositive distance t[1][2]", id="nonpositive-off-the-first-row"),
+        pytest.param([F(1, 2), F(1, 4), F(1, 4)], ((0, 2, 1), (2, 0, 1), (1, 3, 0)), 1, "travel",
+                     "asymmetric: t[1][2] != t[2][1]", id="asymmetric-off-the-first-row"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 1), (1,)), 1, "travel",
+                     "must be an 2x2 matrix (one row per rate)", id="ragged"),
     ],
 )
-def test_metric_instance_validation(rates, travel, start, field):
-    with pytest.raises(InstanceFormatError) as err:
-        MetricInstance(RateVector(rates), travel, start)
-    assert err.value.field == field
+def test_metric_instance_validation(rates, travel, start, field, message):
+    for shrink, kind in ((F(1), np.int64), (F(1, _P61 * _P31), object)):
+        scaled = tuple(tuple(F(x) * shrink for x in row) for row in travel)
+        if len({len(row) for row in scaled}) == 1 and any(x for row in scaled for x in row):
+            assert _scaled(scaled)[0].dtype == kind  # an all-zero matrix is int64 either way
+        with pytest.raises(InstanceFormatError) as err:
+            MetricInstance(RateVector(rates), scaled, start)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
 
 
 def test_normalized_constructor_scales_rates():
@@ -73,6 +106,80 @@ def test_normalized_constructor_scales_rates():
 
 
 # --- MST and Euler tours ---------------------------------------------------
+
+def _reference_mst(vertices, travel):
+    """Prim's MST in Fraction arithmetic, with `mst`'s tie-break rule: among
+    equal-weight candidates the smaller tree endpoint, then the smaller
+    outside endpoint, wins."""
+    verts = sorted({int(v) for v in vertices})
+    if len(verts) == 1:
+        return [], F(0)
+    root = verts[0]
+    best = {v: (travel[root - 1][v - 1], root) for v in verts[1:]}
+    remaining = set(verts[1:])
+    edges = []
+    total = F(0)
+    while remaining:
+        w, u, v = min((best[x][0], best[x][1], x) for x in remaining)
+        remaining.discard(v)
+        del best[v]
+        edges.append((u, v) if u < v else (v, u))
+        total += w
+        for x in remaining:
+            d = travel[v - 1][x - 1]
+            bw, bu = best[x]
+            if d < bw or (d == bw and v < bu):
+                best[x] = (d, v)
+    return edges, total
+
+
+def _metric(n, seed, values, rates=None):
+    """A metric with distances drawn from `values`, which must lie within
+    [m, 2m] for some m so the triangle inequality holds; equal rates unless
+    given."""
+    rng = random.Random(seed)
+    travel = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            travel[i][j] = travel[j][i] = rng.choice(values)
+    return MetricInstance.normalized(rates or [1] * n, tuple(map(tuple, travel)))
+
+
+def _huge_denominator_metric(n, seed, rates=None):
+    """Distances in [1/2, 1] over the denominators 2^61 - 1 and 2^31 - 1,
+    a few values each, so ties are frequent and the lcm exceeds 2^61."""
+    values = [F(p // 2 + 7 * k, p) for p in (_P61, _P31) for k in range(3)]
+    return _metric(n, seed, values, rates)
+
+
+def _mst_differential_instances():
+    yield from (gen_random_metric(n, seed) for seed, n in enumerate([2, 3, 7, 16, 33, 60]))
+    yield gen_spiral(64)
+    yield gen_two_cluster(16, 1)
+    yield gen_two_cluster(32, F(5, 3))
+    yield _metric(40, 1, [F(1), F(2)])  # nearly every edge weight is tied
+    yield _huge_denominator_metric(30, 2)
+
+
+@pytest.mark.parametrize("inst", list(_mst_differential_instances()), ids=lambda i: f"n{i.n}")
+def test_mst_matches_the_fraction_reference(inst):
+    rng = random.Random(inst.n)
+    everyone = list(range(1, inst.n + 1))
+    subsets = [everyone, [inst.n]] + [
+        sorted(rng.sample(everyone, rng.randint(2, inst.n))) for _ in range(4)
+    ]
+    for sub in subsets:
+        expected = _reference_mst(sub, inst.travel)
+        assert mst(sub, inst.travel) == expected
+        assert _tree(inst, sub) == expected
+
+
+def test_huge_denominators_take_the_python_int_path():
+    inst = _huge_denominator_metric(12, 0)
+    assert inst._ticks.dtype == object
+    assert inst._scale == _P61 * _P31
+    assert inst.diameter == max(max(row) for row in inst.travel)
+
 
 def test_mst_weight_and_edges():
     travel = ((F(0), F(1), F(2)), (F(1), F(0), F(2)), (F(2), F(2), F(0)))
@@ -213,6 +320,37 @@ def test_lower_bound_mst_matches_brute_force_on_line_metrics(data):
     assert value == min(inst.rates.rate(i) for i in members) * w
 
 
+def _threshold_mst_bound(inst):
+    """lower_bound_mst by definition: one reference MST per rate threshold,
+    highest first, a strict > keeping the first maximizing set."""
+    best, best_set = F(0), (1,)
+    for h in sorted(set(inst.rates.rates), reverse=True):
+        members = [i for i in range(1, inst.n + 1) if inst.rates.rate(i) >= h]
+        _, w = _reference_mst(members, inst.travel)
+        if h * w > best:
+            best, best_set = h * w, tuple(members)
+    return best, best_set
+
+
+def _lower_bound_instances():
+    yield from (gen_random_metric(n, seed) for seed, n in enumerate([2, 5, 17, 40, 60], start=7))
+    yield gen_two_cluster(16, 1)                                # rates in equal pairs
+    yield gen_two_cluster(32, F(2, 7))
+    yield gen_spiral(64)                                        # three rate groups
+    yield _metric(25, 3, [F(3), F(4), F(5)])                    # all rates equal
+    yield _metric(30, 4, [F(1), F(2)], rates=[4] * 3 + [3] * 9 + [2] * 10 + [1] * 8)
+    yield _metric(18, 5, [F(1), F(2)], rates=[9, 1, 1, 1] + [F(1, 2)] * 14)
+    yield _huge_denominator_metric(20, 6, rates=[5] * 4 + [2] * 6 + [1] * 10)
+    # unit distances and h_k proportional to 1/(k-1): every threshold from the
+    # second on gives the same bound, and the first such set must be kept
+    yield _metric(5, 0, [F(1)], rates=[24, 12, 6, 4, 3])
+
+
+@pytest.mark.parametrize("inst", list(_lower_bound_instances()), ids=lambda i: f"n{i.n}")
+def test_lower_bound_mst_matches_the_per_threshold_reference(inst):
+    assert lower_bound_mst(inst) == _threshold_mst_bound(inst)
+
+
 def test_lower_bound_mst_is_sound_but_not_exact_off_the_line():
     inst = gen_random_metric(6, seed=0)
     value, members = lower_bound_mst(inst)
@@ -245,6 +383,14 @@ def test_discrete_as_continuous_frozen():
     assert sched.pairs == two_approx(rates).pairs
     assert report["max_coefficient"] == 2
     assert report["ratio_bound"] == 4
+
+
+def test_discrete_as_continuous_raises_on_a_broken_certificate(monkeypatch):
+    rates = RateVector([F(1, 2), F(1, 4), F(1, 4)])
+    broken = ResidueSchedule(((1, 8), (2, 8), (3, 8)))  # h_1 * q_1 = 4 > 2H
+    monkeypatch.setattr(continuous, "two_approx", lambda _: broken)
+    with pytest.raises(CertificateError, match="coefficient 4 exceeds 2H = 2"):
+        discrete_as_continuous(rates)
 
 
 def test_spiral8_layout():
