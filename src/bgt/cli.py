@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
 
@@ -408,12 +407,7 @@ def cmd_bench(args) -> int:
             float(report.global_max),
         ]
 
-    ids = range(args.count)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_one, ids))
-    else:
-        rows = [run_one(i) for i in ids]
+    rows = [run_one(i) for i in range(args.count)]
     with open(args.out, "w", newline="") as fp:
         w = csv.writer(fp, lineterminator="\n")
         w.writerow(
@@ -461,7 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     grm.set_defaults(func=cmd_gen)
     grf = gsub.add_parser("rf-lb", help="Reduce-Fastest(x) lower-bound family")
     grf.add_argument("--x", required=True)
-    grf.add_argument("--eps", required=True)
+    grf.add_argument(
+        "--eps",
+        required=True,
+        help="0 < eps < min(x, 1-x) for x < 1; eps <= 1/4 at x = 1; eps <= "
+        "min(x/4, 2(x-1)/(2-x)) for 1 < x < 2, so max/OPT >= 3/2; eps <= 1/2 for x >= 2",
+    )
     grf.add_argument("--out")
     grf.set_defaults(func=cmd_gen)
     gfr = gsub.add_parser("freqs", help="integer periods below the Main feasibility margin")
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", choices=["rm127", "rf-lb"])
     s.add_argument("--k", type=int, help="rm127 family parameter")
     s.add_argument("--x", help="reduce-fastest threshold factor (rational)")
-    s.add_argument("--eps", help="rf-lb family parameter (rational)")
+    s.add_argument("--eps", help="rf-lb family parameter (rational; window as in gen rf-lb)")
     s.add_argument("--rounds", type=int)
     s.add_argument("--schedule", help="schedule JSON for --strategy schedule")
     s.add_argument("--bound", help="certify the realized max against this rational")
@@ -550,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="also compute the exact optimum for instances up to this size",
     )
-    b.add_argument("--jobs", type=int, default=1, help="thread fan-out; output is identical")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
     return p

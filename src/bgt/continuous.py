@@ -429,27 +429,20 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
         _, w = _tree(instance, range(1, instance.n + 1))
         return 2 * w * rs.rates[0]
     if algo == 2:
-        classes = algorithm2_classes(instance)
-        s = len(classes)
-        best = Fraction(0)
-        for cls in classes:
-            if not cls:
-                continue
-            _, w = _tree(instance, cls)
-            hmax = max(rs.rate(i) for i in cls)
-            best = max(best, 3 * s * (D + 2 * w) * hmax)
-        return best
-    if algo != 3:
+        v0, classes = [], algorithm2_classes(instance)
+    elif algo == 3:
+        v0, classes = algorithm3_classes(instance)
+    else:
         raise ValueError(f"algo must be 1, 2 or 3, got {algo}")
-    v0, classes = algorithm3_classes(instance)
     s = len(classes)
+    factor = 3 * s if algo == 2 else 3 * s + 1
     best = Fraction(0)
     for cls in classes:
         if not cls:
             continue
         _, w = _tree(instance, cls)
         hmax = max(rs.rate(i) for i in cls)
-        best = max(best, (3 * s + 1) * (D + 2 * w) * hmax)
+        best = max(best, factor * (D + 2 * w) * hmax)
     if v0:
         hmax0 = max(rs.rate(i) for i in v0)
         best = max(best, (3 * D * s + D) * len(v0) * hmax0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import IO, Iterable, Sequence
@@ -219,6 +219,52 @@ class SimulationReport:
         assert self.steady_state_max <= self.global_max
 
 
+def _gap_scan(
+    rates: RateVector,
+    cuts: Sequence[int],
+    times: Iterable,
+    end,
+    *,
+    include_tail: bool = True,
+    steady_after=0,
+) -> SimulationReport:
+    """The one gap-accounting kernel behind every height report.
+
+    Bamboo cuts[k] (0 = idle) is cut at times[k], which increase strictly
+    from time 0, and the report closes at `end`.  Indices are trusted here;
+    callers check them.
+    """
+    n = rates.n
+    last = [0] * (n + 1)
+    best_gap = [0] * (n + 1)
+    best_at = [0] * (n + 1)
+    steady_gap = [0] * (n + 1)
+    for c, t in zip(cuts, times):
+        if not c:
+            continue
+        gap = t - last[c]
+        if gap > best_gap[c]:
+            best_gap[c] = gap
+            best_at[c] = t
+        if t > steady_after and gap > steady_gap[c]:
+            steady_gap[c] = gap
+        last[c] = t
+    for i in range(1, n + 1):
+        if last[i] and not include_tail:
+            continue
+        gap = end - last[i]
+        if gap > best_gap[i]:
+            best_gap[i] = gap
+            best_at[i] = end
+        if end > steady_after and gap > steady_gap[i]:
+            steady_gap[i] = gap
+    per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
+    gmax = max(per)
+    arg = per.index(gmax) + 1
+    steady = max(rates.rate(i) * steady_gap[i] for i in range(1, n + 1))
+    return SimulationReport(per, gmax, arg, steady, end, best_at[arg])
+
+
 def simulate_discrete(
     rates: RateVector,
     schedule: Sequence[int],
@@ -238,42 +284,18 @@ def simulate_discrete(
     if not schedule:
         raise ValueError("schedule must be nonempty")
     n = rates.n
-    last = [0] * (n + 1)
-    best_gap = [0] * (n + 1)
-    best_at = [0] * (n + 1)
-    steady_gap = [0] * (n + 1)
-    r = 0
-    for r, c in enumerate(schedule, start=1):
-        c = int(c)
-        if c == 0:
-            continue
-        if not 1 <= c <= n:
-            raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")
-        gap = r - last[c]
-        if gap > best_gap[c]:
-            best_gap[c] = gap
-            best_at[c] = r
-        if r > steady_after and gap > steady_gap[c]:
-            steady_gap[c] = gap
-        last[c] = r
-    horizon = r
-    for i in range(1, n + 1):
-        if last[i] and not include_tail:
-            continue
-        gap = horizon - last[i]
-        if gap > best_gap[i]:
-            best_gap[i] = gap
-            best_at[i] = horizon
-        if horizon > steady_after and gap > steady_gap[i]:
-            steady_gap[i] = gap
-    per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
-    gmax = max(per)
-    arg = per.index(gmax) + 1
-    steady = max(
-        (rates.rate(i) * steady_gap[i] for i in range(1, n + 1)),
-        default=Fraction(0),
+    cuts = list(map(int, schedule))
+    if min(cuts) < 0 or max(cuts) > n:
+        r, c = next((r, c) for r, c in enumerate(cuts, start=1) if not 0 <= c <= n)
+        raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")
+    return _gap_scan(
+        rates,
+        cuts,
+        range(1, len(cuts) + 1),
+        len(cuts),
+        include_tail=include_tail,
+        steady_after=steady_after,
     )
-    return SimulationReport(per, gmax, arg, steady, horizon, best_at[arg])
 
 
 def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> SimulationReport:
@@ -293,25 +315,19 @@ def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> Simulatio
 
 
 def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationReport:
-    pre, period = schedule.preamble, schedule.period
-    # Global supremum: everything (initial gaps, preamble, transition, cyclic
-    # gaps) shows up in the first preamble + 2 periods.
-    sim = simulate_discrete(rates, pre + period + period, include_tail=False)
-    # Steady state: only the cyclic gaps within the period matter.
-    P = len(period)
-    positions: dict[int, list[int]] = {}
-    for t, c in enumerate(period, start=1):
-        if c:
-            positions.setdefault(c, []).append(t)
-    steady = Fraction(0)
-    for i, pos in positions.items():
-        wrap = P - pos[-1] + pos[0]
-        gap = max(max(b - a for a, b in zip(pos, pos[1:])), wrap) if len(pos) > 1 else P
-        if rates.rate(i) * gap > steady:
-            steady = rates.rate(i) * gap
-    return SimulationReport(
-        sim.per_bamboo_max, sim.global_max, sim.argmax_bamboo, steady, None, sim.argmax_round
+    # Every gap (initial gaps, preamble, transition, cyclic gaps) shows up in
+    # the first preamble + 2 periods; the cuts in the second period close
+    # exactly the cyclic gaps, which give the steady state.
+    cuts = schedule.preamble + schedule.period + schedule.period
+    report = _gap_scan(
+        rates,
+        cuts,
+        range(1, len(cuts) + 1),
+        len(cuts),
+        include_tail=False,
+        steady_after=len(schedule.preamble) + len(schedule.period),
     )
+    return replace(report, horizon=None)
 
 
 def evaluate_cyclic(
@@ -348,9 +364,7 @@ def simulate_walk(
     walk: Sequence[tuple[int, Fraction]],
     *,
     strict: bool = False,
-    include_tail: bool = True,
     steady_after: Fraction = Fraction(0),
-    horizon: Fraction | None = None,
 ) -> SimulationReport:
     """Replay a continuous walk (point, arrival time) and report exact maxima.
 
@@ -358,18 +372,16 @@ def simulate_walk(
     then.  Arrival times must be strictly increasing and each leg must take
     at least the travel time between its endpoints (shortcuts via the
     triangle inequality make faster-than-direct arrivals impossible).  With
-    strict=True each leg must take exactly the travel time.
+    strict=True each leg must take exactly the travel time.  Gaps are
+    accounted as in `simulate_discrete`, with the last arrival as horizon.
     """
-    if not walk and horizon is None:
-        raise ValueError("empty walk needs an explicit horizon")
-    rates: RateVector = instance.rates
+    if not walk:
+        raise ValueError("walk must be nonempty")
     travel = instance.travel
-    n = rates.n
+    n = instance.rates.n
+    points: list[int] = []
+    times: list[Fraction] = []
     prev_v, prev_t = instance.start, Fraction(0)
-    last = [Fraction(0)] * (n + 1)
-    best_gap = [Fraction(0)] * (n + 1)
-    best_at = [Fraction(0)] * (n + 1)
-    steady_gap = [Fraction(0)] * (n + 1)
     for k, (v, t) in enumerate(walk):
         v = int(v)
         t = frac(t)
@@ -387,38 +399,10 @@ def simulate_walk(
             raise ScheduleError(
                 f"walk entry {k}: leg {prev_v}->{v} takes {dt} != travel time {d} (strict mode)"
             )
-        gap = t - last[v]
-        if gap > best_gap[v]:
-            best_gap[v] = gap
-            best_at[v] = t
-        if t > steady_after and gap > steady_gap[v]:
-            steady_gap[v] = gap
-        last[v] = t
+        points.append(v)
+        times.append(t)
         prev_v, prev_t = v, t
-    end = prev_t if horizon is None else frac(horizon)
-    if end < prev_t:
-        raise ValueError(f"horizon {end} precedes the last walk time {prev_t}")
-    for i in range(1, n + 1):
-        if last[i] and not include_tail:
-            continue
-        gap = end - last[i]
-        if gap > best_gap[i]:
-            best_gap[i] = gap
-            best_at[i] = end
-        if end > steady_after and gap > steady_gap[i]:
-            steady_gap[i] = gap
-    per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
-    gmax = max(per)
-    arg = per.index(gmax) + 1
-    steady = max(
-        (rates.rate(i) * steady_gap[i] for i in range(1, n + 1)), default=Fraction(0)
-    )
-    return SimulationReport(per, gmax, arg, steady, end, best_at[arg])
-
-
-def lower_bound_H(rates: RateVector) -> Fraction:
-    """H = sum of growth rates: the universal lower bound on any schedule."""
-    return rates.H
+    return _gap_scan(instance.rates, points, times, prev_t, steady_after=steady_after)
 
 
 def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:
@@ -441,7 +425,8 @@ def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:
     rng = random.Random(seed)
     weights = [rng.randint(1 << 10, 1 << 12) for _ in range(n - 1)]
     scale = (1 / ratio - 1) / sum(weights)
-    tail = sorted((w * scale for w in weights), reverse=True)
+    # scale > 0, so sorting the integer weights sorts the rates
+    tail = [w * scale for w in sorted(weights, reverse=True)]
     if tail[0] > 1:
         raise ValueError(f"n={n} too small for head_ratio={ratio}")
     return RateVector([Fraction(1)] + tail)

@@ -172,6 +172,8 @@ class _Lane:
 
 
 def _sub_rates(rates: RateVector, members: Sequence[int]) -> RateVector:
+    if len(members) == rates.n:  # members are distinct indices: all of them
+        return rates
     return RateVector([rates.rate(i) for i in members])
 
 
@@ -254,44 +256,9 @@ def eight_fifths(
         case = 4
 
     if case == 0:
-        sched, diag = main_algorithm(rates)
-        report = evaluate_cyclic(rates, sched, validate=False)
-        per_bamboo = []
-        for i in range(1, rates.n + 1):
-            p, q = sched.pairs[i - 1]
-            hb = rates.rate(i) * max(p, q)
-            assert report.per_bamboo_max[i - 1] <= hb <= diag.bound
-            per_bamboo.append(
-                {
-                    "index": i,
-                    "rate": rates.rate(i),
-                    "realized": report.per_bamboo_max[i - 1],
-                    "height_bound": hb,
-                }
-            )
-        cert = {
-            "case": 0,
-            "m": m,
-            "threshold": threshold,
-            "H": H,
-            "pattern": ["A"],
-            "tokens": {
-                "A": {
-                    "members": list(range(1, rates.n + 1)),
-                    "scheduler": "main",
-                    "sum": H,
-                    "bound": diag.bound,
-                    "delta": diag.delta,
-                    "oracle_fallback": False,
-                }
-            },
-            "per_bamboo": per_bamboo,
-            "global_realized": report.global_max,
-            "global_bound": diag.bound,
-        }
-        return sched, cert
-
-    if case == 1:
+        pattern = ["A"]
+        plan = {"A": (list(range(1, rates.n + 1)), "main")}
+    elif case == 1:
         pattern = ["L", "L", "L", "S"]
         plan = {"L": (large, "oracle"), "S": (small, "main")}
     elif case == 2:
@@ -325,7 +292,14 @@ def eight_fifths(
         for t, (members, scheduler) in plan.items()
     }
 
-    merged = merge_schedules(pattern, {t: (ln.schedule, ln.members) for t, ln in lanes.items()}, rates.n)
+    if case == 0:
+        # one slot whose lane holds every bamboo: main_algorithm's certified
+        # residue schedule is already the result
+        merged = lanes["A"].schedule
+    else:
+        merged = merge_schedules(
+            pattern, {t: (ln.schedule, ln.members) for t, ln in lanes.items()}, rates.n
+        )
     report = evaluate_cyclic(rates, merged)
 
     P = len(pattern)
@@ -340,7 +314,7 @@ def eight_fifths(
         # token-level certified bound on every member's merged height
         if ln.scheduler == "oracle":
             token_bound = max(
-                Fraction(_dilated_gap(P, offsets, ln.sub_gaps[i])) * rates.rate(i)
+                _dilated_gap(P, offsets, ln.sub_gaps[i]) * rates.rate(i)
                 for i in ln.members
             )
             if case == 1:
@@ -350,7 +324,7 @@ def eight_fifths(
         member_max = Fraction(0)
         for i in ln.members:
             g = ln.sub_gaps[i]
-            hb = Fraction(_dilated_gap(P, offsets, g)) * rates.rate(i)
+            hb = _dilated_gap(P, offsets, g) * rates.rate(i)
             realized = report.per_bamboo_max[i - 1]
             assert realized <= hb <= token_bound, (
                 f"bamboo {i}: realized {realized} vs bound {hb} (token {t})"

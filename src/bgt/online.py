@@ -115,7 +115,9 @@ def gen_reduce_fastest_lb(x, eps) -> RateVector:
         normalized to H = 1.  Then 2*h_1 < x*H <= 3*h_1, so b_1 waits three
         rounds between cuts and peaks at 3*h_1.  Before normalizing, OPT is
         2*h_1 when h_1 >= 1 (schedule 1,2,1,3), so max/OPT >= 3/2 once
-        eps <= 2(x-1)/(2-x); at x = 1 OPT is 2 and max/OPT = 3*h_1/2 tends to
+        eps <= 2(x-1)/(2-x).  For 1 < x < 2 eps must lie within both x/4 and
+        that limit, so every accepted instance has max/OPT >= 3/2.  At x = 1
+        (only eps <= 1/4 is required) OPT is 2 and max/OPT = 3*h_1/2 tends to
         3/2 as eps shrinks.  Two slow bamboos keep the rates sorted at x = 1.
     x >= 2: rates (1 - eps, eps) — b_1 is cut every 3 rounds.
     """
@@ -129,9 +131,11 @@ def gen_reduce_fastest_lb(x, eps) -> RateVector:
             raise ValueError(f"for x={x} need 0 < eps < {hi}, got {eps}")
         return RateVector((x, eps))
     if x < 2:
-        # eps <= x/4 keeps h_1 > 1/2 (sorted) and h_1 >= x/(3-x) (3h_1 >= x*H)
-        if not 0 < eps <= x / 4:
-            raise ValueError(f"for x={x} need 0 < eps <= {x / 4}, got {eps}")
+        # eps <= x/4 keeps h_1 > 1/2 (sorted) and h_1 >= x/(3-x) (3h_1 >= x*H);
+        # for x > 1, eps <= 2(x-1)/(2-x) keeps h_1 >= 1, so OPT = 2*h_1
+        hi = x / 4 if x == 1 else min(x / 4, 2 * (x - 1) / (2 - x))
+        if not 0 < eps <= hi:
+            raise ValueError(f"for x={x} need 0 < eps <= {hi}, got {eps}")
         half = Fraction(1, 2)
         return RateVector((x / (2 - x) - eps, half, half)).normalized()
     if not 0 < eps <= Fraction(1, 2):

@@ -1,6 +1,7 @@
 """Types, validation, and the exact simulation engines."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,9 +14,11 @@ from bgt import (
     RateVector,
     ResidueSchedule,
     ScheduleError,
+    SimulationReport,
     evaluate_cyclic,
     frac,
     gen_planted_head,
+    gen_random_metric,
     instance_to_dict,
     load_instance,
     load_schedule,
@@ -205,3 +208,245 @@ def test_gen_planted_head_exact_ratio():
     assert gen_planted_head(50, F(1, 4), 0).rates != gen_planted_head(50, F(1, 4), 1).rates
     with pytest.raises(ValueError):
         gen_planted_head(3, F(1, 256), 0)  # tail rates would exceed h_1
+
+
+# --- the gap scan against the bodies it replaced ---------------------------
+# Each `_reference_*` is the accounting loop that `simulate_discrete`,
+# `_evaluate_list` and `simulate_walk` ran before they shared one gap scan.
+
+
+def _reference_simulate_discrete(rates, schedule, *, include_tail=True, steady_after=0):
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    n = rates.n
+    last = [0] * (n + 1)
+    best_gap = [0] * (n + 1)
+    best_at = [0] * (n + 1)
+    steady_gap = [0] * (n + 1)
+    r = 0
+    for r, c in enumerate(schedule, start=1):
+        c = int(c)
+        if c == 0:
+            continue
+        if not 1 <= c <= n:
+            raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")
+        gap = r - last[c]
+        if gap > best_gap[c]:
+            best_gap[c] = gap
+            best_at[c] = r
+        if r > steady_after and gap > steady_gap[c]:
+            steady_gap[c] = gap
+        last[c] = r
+    horizon = r
+    for i in range(1, n + 1):
+        if last[i] and not include_tail:
+            continue
+        gap = horizon - last[i]
+        if gap > best_gap[i]:
+            best_gap[i] = gap
+            best_at[i] = horizon
+        if horizon > steady_after and gap > steady_gap[i]:
+            steady_gap[i] = gap
+    per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
+    gmax = max(per)
+    arg = per.index(gmax) + 1
+    steady = max((rates.rate(i) * steady_gap[i] for i in range(1, n + 1)), default=F(0))
+    return SimulationReport(per, gmax, arg, steady, horizon, best_at[arg])
+
+
+def _reference_evaluate_list(rates, schedule):
+    pre, period = schedule.preamble, schedule.period
+    sim = _reference_simulate_discrete(rates, pre + period + period, include_tail=False)
+    P = len(period)
+    positions = {}
+    for t, c in enumerate(period, start=1):
+        if c:
+            positions.setdefault(c, []).append(t)
+    steady = F(0)
+    for i, pos in positions.items():
+        wrap = P - pos[-1] + pos[0]
+        gap = max(max(b - a for a, b in zip(pos, pos[1:])), wrap) if len(pos) > 1 else P
+        if rates.rate(i) * gap > steady:
+            steady = rates.rate(i) * gap
+    return SimulationReport(
+        sim.per_bamboo_max, sim.global_max, sim.argmax_bamboo, steady, None, sim.argmax_round
+    )
+
+
+def _reference_simulate_walk(instance, walk, *, strict=False, steady_after=F(0)):
+    if not walk:
+        raise ValueError("empty walk needs an explicit horizon")
+    rates = instance.rates
+    travel = instance.travel
+    n = rates.n
+    prev_v, prev_t = instance.start, F(0)
+    last = [F(0)] * (n + 1)
+    best_gap = [F(0)] * (n + 1)
+    best_at = [F(0)] * (n + 1)
+    steady_gap = [F(0)] * (n + 1)
+    for k, (v, t) in enumerate(walk):
+        v = int(v)
+        t = frac(t)
+        if not 1 <= v <= n:
+            raise ScheduleError(f"walk entry {k}: point {v} out of range 1..{n}")
+        dt = t - prev_t
+        if dt <= 0:
+            raise ScheduleError(f"walk entry {k}: arrival times must be strictly increasing")
+        d = travel[prev_v - 1][v - 1]
+        if dt < d:
+            raise ScheduleError(
+                f"walk entry {k}: leg {prev_v}->{v} takes {dt}, below travel time {d}"
+            )
+        if strict and dt != d:
+            raise ScheduleError(
+                f"walk entry {k}: leg {prev_v}->{v} takes {dt} != travel time {d} (strict mode)"
+            )
+        gap = t - last[v]
+        if gap > best_gap[v]:
+            best_gap[v] = gap
+            best_at[v] = t
+        if t > steady_after and gap > steady_gap[v]:
+            steady_gap[v] = gap
+        last[v] = t
+        prev_v, prev_t = v, t
+    end = prev_t
+    for i in range(1, n + 1):
+        gap = end - last[i]
+        if gap > best_gap[i]:
+            best_gap[i] = gap
+            best_at[i] = end
+        if end > steady_after and gap > steady_gap[i]:
+            steady_gap[i] = gap
+    per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
+    gmax = max(per)
+    arg = per.index(gmax) + 1
+    steady = max((rates.rate(i) * steady_gap[i] for i in range(1, n + 1)), default=F(0))
+    return SimulationReport(per, gmax, arg, steady, end, best_at[arg])
+
+
+def _same(new, ref):
+    # repr also pins the number types (Fraction vs int) of every field
+    assert repr(new) == repr(ref)
+
+
+_rates = st.lists(
+    st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12), min_size=1, max_size=5
+).map(RateVector.sorted_from)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rates, st.data())
+def test_simulate_discrete_matches_the_reference(rates, data):
+    # idle rounds, never-cut bamboos, tails on and off, any steady cut-off
+    cuts = data.draw(st.lists(st.integers(0, rates.n), min_size=1, max_size=30))
+    include_tail = data.draw(st.booleans())
+    steady_after = data.draw(st.integers(0, len(cuts) + 1))
+    kw = {"include_tail": include_tail, "steady_after": steady_after}
+    _same(simulate_discrete(rates, cuts, **kw), _reference_simulate_discrete(rates, cuts, **kw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rates, st.data())
+def test_simulate_discrete_rejects_what_the_reference_rejects(rates, data):
+    cuts = data.draw(st.lists(st.integers(-2, rates.n + 2), min_size=1, max_size=12))
+    try:
+        expected = _reference_simulate_discrete(rates, cuts)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as err:
+            simulate_discrete(rates, cuts)
+        assert str(err.value) == str(exc)
+    else:
+        _same(simulate_discrete(rates, cuts), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rates, st.data())
+def test_evaluate_list_matches_the_reference(rates, data):
+    n = rates.n
+    cut = st.integers(0, n)
+    preamble = data.draw(st.lists(cut, max_size=8))
+    period = data.draw(st.lists(cut, min_size=1, max_size=10))
+    if data.draw(st.booleans()):
+        period += list(range(1, n + 1))  # a valid schedule: every bamboo recurs
+        data.draw(st.randoms()).shuffle(period)
+    sched = ListSchedule(tuple(preamble), tuple(period), n)
+    new = evaluate_cyclic(rates, sched, validate=False)
+    ref = _reference_evaluate_list(rates, sched)
+    never_cut = [i for i in range(1, n + 1) if i not in preamble + period]
+    if not never_cut:
+        _same(new, ref)
+        return
+    # A bamboo the schedule never cuts grows without bound, and the scan now
+    # counts its full window in the steady state too; everything else agrees.
+    assert new.steady_state_max == max(
+        [ref.steady_state_max] + [new.per_bamboo_max[i - 1] for i in never_cut]
+    )
+    _same(
+        SimulationReport(new.per_bamboo_max, new.global_max, new.argmax_bamboo,
+                         ref.steady_state_max, new.horizon, new.argmax_round),
+        ref,
+    )
+
+
+def test_evaluate_list_with_a_preamble_matches_the_reference():
+    rates = RateVector([F(1, 2), F(1, 3), F(1, 12)])
+    for sched in (ListSchedule((2,), (1, 2, 1, 3), 3), ListSchedule((), (1, 2, 1, 3), 3),
+                  ListSchedule((3, 3, 0), (2, 1, 0, 1, 3, 2), 3)):
+        new = evaluate_cyclic(rates, sched)
+        _same(new, _reference_evaluate_list(rates, sched))
+        assert new.horizon is None
+
+
+def _random_walk(inst, rng, length, strict):
+    """Legs to random other points; non-strict legs may dawdle."""
+    walk, v, t = [], inst.start, F(0)
+    for _ in range(length):
+        w = rng.choice([u for u in range(1, inst.n + 1) if u != v or not strict])
+        t += inst.travel[v - 1][w - 1]
+        if not strict and (w == v or rng.random() < 0.5):
+            t += F(rng.randint(1, 8), rng.randint(1, 8))
+        walk.append((w, t))
+        v = w
+    return walk
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_walk_matches_the_reference(seed):
+    rng = random.Random(seed)
+    inst = gen_random_metric(rng.randint(2, 7), seed)
+    for strict in (True, False):
+        walk = _random_walk(inst, rng, rng.randint(1, 40), strict)
+        end = walk[-1][1]
+        for steady_after in (F(0), end / 3, end):
+            _same(
+                simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
+                _reference_simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
+            )
+
+
+def test_simulate_walk_rejects_each_bad_leg_like_the_reference():
+    inst = gen_random_metric(4, 7)
+    good = _random_walk(inst, random.Random(7), 6, True)
+    v, t = good[2]
+    d = inst.travel[good[1][0] - 1][v - 1]
+    bad_legs = [
+        (0, t),  # point out of range
+        (inst.n + 1, t),
+        (v, good[1][1]),  # time does not increase
+        (v, t - d / 2),  # faster than the travel time
+        (v, t + 1),  # slower than the travel time: only strict mode rejects
+    ]
+    for leg in bad_legs:
+        walk = good[:2] + [leg] + good[3:]
+        for strict in (True, False):
+            try:
+                expected = _reference_simulate_walk(inst, walk, strict=strict)
+            except ScheduleError as exc:
+                with pytest.raises(ScheduleError) as err:
+                    simulate_walk(inst, walk, strict=strict)
+                assert str(err.value) == str(exc)
+            else:
+                assert not strict
+                _same(simulate_walk(inst, walk, strict=strict), expected)
+    with pytest.raises(ValueError):
+        simulate_walk(inst, [])

@@ -11,6 +11,7 @@ from bgt import (
     default_group_count,
     eight_fifths,
     evaluate_cyclic,
+    main_algorithm,
     merge_schedules,
     rebalance,
     split,
@@ -121,6 +122,19 @@ def test_small_n_defaults_to_case_0():
     assert cert["case"] == 0
     assert cert["pattern"] == ["A"]
     assert cert["global_realized"] <= cert["global_bound"]
+    # the one lane's schedule is returned as is: main_algorithm's, certified
+    main_sched, diag = main_algorithm(rv)
+    assert sched == main_sched
+    token = cert["tokens"]["A"]
+    assert token["members"] == [1, 2, 3]
+    assert (token["scheduler"], token["count"], token["offsets"]) == ("main", 1, [0])
+    assert token["bound"] == cert["global_bound"] == diag.bound
+    assert token["delta"] == diag.delta
+    assert token["realized"] == cert["global_realized"]
+    assert token["opt"] is None and token["oracle_fallback"] is False
+    for entry in cert["per_bamboo"]:
+        p, q = sched.pairs[entry["index"] - 1]
+        assert entry["height_bound"] == entry["rate"] * max(p, q)
 
 
 def test_oracle_budget_exhaustion_falls_back_to_two_approx():

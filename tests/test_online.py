@@ -69,6 +69,15 @@ def test_reduce_fastest_lower_bound_holds_as_eps_shrinks(x, eps):
     assert rep.global_max / opt == F(3, 2)
 
 
+@pytest.mark.parametrize("x", [F(17, 16), F(9, 8), F(5, 4), F(7, 4)])
+def test_reduce_fastest_lower_bound_holds_at_the_largest_eps(x):
+    eps = min(x / 4, 2 * (x - 1) / (2 - x))
+    rates = gen_reduce_fastest_lb(x, eps)
+    opt, _ = optimal_height(rates)
+    _, rep = reduce_fastest(rates, x, 400)
+    assert rep.global_max / opt >= F(3, 2)
+
+
 def test_reduce_fastest_lower_bound_at_x_1():
     # h_1 = 15/16 against two slow 1/2 (H = 31/16): Reduce-Fastest realizes
     # 3*h_1 = 45/16; OPT is 2, since any cap below 2 needs densities
@@ -101,6 +110,9 @@ def test_lb_family_eps_validation():
         gen_reduce_fastest_lb(F(1, 2), F(1, 2))  # needs eps < min(x, 1-x)
     with pytest.raises(ValueError):
         gen_reduce_fastest_lb(F(3, 2), F(1, 2))  # needs eps <= x/4
+    with pytest.raises(ValueError):
+        # within x/4, but above 2(x-1)/(2-x) = 2/15: max/OPT would be 833/640
+        gen_reduce_fastest_lb(F(17, 16), F(17, 64))
     with pytest.raises(ValueError):
         gen_reduce_fastest_lb(3, F(3, 4))  # needs eps <= 1/2
     assert gen_reduce_fastest_lb(3, F(1, 2)).rates == (F(1, 2), F(1, 2))
