@@ -1,8 +1,10 @@
 """Exact-rational instances, cyclic schedules, and simulation engines.
 
-Everything that touches a height is a `fractions.Fraction`; there is no
-floating point anywhere in height accounting, so approximation guarantees
-can be checked as hard inequalities.
+Every height is exact and there is no floating point anywhere in height
+accounting, so approximation guarantees are checked as hard inequalities.
+Rates come in as `fractions.Fraction`s; the hot paths compare heights as
+exact integers over the rates' common denominator (`integer_weights`) and
+build a `Fraction` only for a value they report.
 
 Conventions used throughout the package:
 
@@ -19,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import IO, Iterable, Sequence
 
 
@@ -56,6 +58,16 @@ def frac(value) -> Fraction:
     raise TypeError(f"refusing inexact conversion to Fraction: {value!r}")
 
 
+def integer_weights(rates: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rates as integers w_i = h_i * D over their common denominator D.
+
+    A height h_i * t is then w_i * t / D, so heights compare as integers.
+    Computed per call, never cached on a RateVector.
+    """
+    d = lcm(*(h.denominator for h in rates))
+    return [h.numerator * (d // h.denominator) for h in rates], d
+
+
 @dataclass(frozen=True)
 class RateVector:
     """Growth rates h_1 >= h_2 >= ... >= h_n > 0 with their cached sum H."""
@@ -67,18 +79,19 @@ class RateVector:
         rates = tuple(frac(r) for r in rates)
         if not rates:
             raise InstanceFormatError("rates", "at least one growth rate required")
-        for k, r in enumerate(rates):
-            if r <= 0:
-                raise InstanceFormatError("rates", f"rate #{k + 1} is {r}; must be positive")
-        for k in range(len(rates) - 1):
-            if rates[k] < rates[k + 1]:
+        w, d = integer_weights(rates)
+        for k, wk in enumerate(w):
+            if wk <= 0:
+                raise InstanceFormatError("rates", f"rate #{k + 1} is {rates[k]}; must be positive")
+        for k in range(len(w) - 1):
+            if w[k] < w[k + 1]:
                 raise InstanceFormatError(
                     "rates",
                     f"rates must be non-increasing; rate #{k + 1} = {rates[k]}"
                     f" < rate #{k + 2} = {rates[k + 1]}",
                 )
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "H", sum(rates, Fraction(0)))
+        object.__setattr__(self, "H", Fraction(sum(w), d))
 
     @classmethod
     def sorted_from(cls, values: Iterable) -> "RateVector":
@@ -299,22 +312,25 @@ def simulate_discrete(
 
 
 def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> SimulationReport:
-    per = []
-    steady = Fraction(0)
-    for i, (p, q) in enumerate(schedule.pairs, start=1):
-        h = rates.rate(i)
-        per.append(h * max(p, q))
-        if h * q > steady:
-            steady = h * q
-    per = tuple(per)
-    gmax = max(per)
-    arg = per.index(gmax) + 1
-    p, q = schedule.pairs[arg - 1]
+    # Heights compare as integers w_i * m_i over D; only the reported values
+    # become Fractions.
+    w, d = integer_weights(rates.rates)
+    pairs = schedule.pairs
+    tops = [w_i * (p if p > q else q) for w_i, (p, q) in zip(w, pairs)]
+    top = max(tops)
+    arg = tops.index(top) + 1
+    steady = max(w_i * q for w_i, (_, q) in zip(w, pairs))
+    per = tuple(Fraction(t, d) for t in tops)
+    p, q = pairs[arg - 1]
     at = p if p >= q else p + q
-    return SimulationReport(per, gmax, arg, steady, None, at)
+    return SimulationReport(per, per[arg - 1], arg, Fraction(steady, d), None, at)
 
 
 def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationReport:
+    # A bamboo the period never cuts grows without bound: no finite report.
+    missing = set(range(1, rates.n + 1)).difference(schedule.period)
+    if missing:
+        raise ScheduleError(f"period never cuts bamboo(s) {sorted(missing)}")
     # Every gap (initial gaps, preamble, transition, cyclic gaps) shows up in
     # the first preamble + 2 periods; the cuts in the second period close
     # exactly the cyclic gaps, which give the steady state.
@@ -338,7 +354,9 @@ def evaluate_cyclic(
 
     ResidueForm: per-bamboo supremum is h_i * max(p_i, q_i).
     ListForm: maximum cyclic gap in one period plus the first-occurrence gap,
-    obtained from an explicit preamble + 2 periods expansion.
+    obtained from an explicit preamble + 2 periods expansion.  A period that
+    never cuts some bamboo raises ScheduleError whatever `validate` says:
+    that bamboo's height has no finite supremum.
     """
     if isinstance(schedule, ResidueSchedule):
         if schedule.n != rates.n:
@@ -349,12 +367,10 @@ def evaluate_cyclic(
     if isinstance(schedule, ListSchedule):
         if schedule.n > rates.n:
             raise ScheduleError(f"schedule names bamboo {schedule.n}, instance has {rates.n}")
-        if validate:
-            if schedule.n != rates.n:
-                raise ScheduleError(
-                    f"period must cut every bamboo 1..{rates.n} (covers only {schedule.n})"
-                )
-            validate_list(schedule)
+        if validate and schedule.n != rates.n:
+            raise ScheduleError(
+                f"period must cut every bamboo 1..{rates.n} (covers only {schedule.n})"
+            )
         return _evaluate_list(rates, schedule)
     raise TypeError(f"not a cyclic schedule: {schedule!r}")
 

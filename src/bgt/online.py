@@ -9,16 +9,9 @@ lower index (rates are sorted, so that is also the largest-rate choice).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .core import RateVector, SimulationReport, frac, simulate_discrete
-
-
-def _integer_weights(rates: RateVector) -> tuple[list[int], int]:
-    """Rates as integers h_i * D over their common denominator D."""
-    d = lcm(*(h.denominator for h in rates.rates))
-    return [h.numerator * (d // h.denominator) for h in rates.rates], d
+from .core import RateVector, SimulationReport, frac, integer_weights, simulate_discrete
 
 
 def reduce_max(rates: RateVector, horizon: int) -> tuple[list[int], SimulationReport]:
@@ -29,7 +22,7 @@ def reduce_max(rates: RateVector, horizon: int) -> tuple[list[int], SimulationRe
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w, _ = _integer_weights(rates)
+    w, _ = integer_weights(rates.rates)
     last = [0] * rates.n  # round of the latest cut; bamboo i is (r - last[i]) * w[i] tall
     schedule = []
     for r in range(1, horizon + 1):
@@ -54,7 +47,7 @@ def reduce_fastest(
         raise ValueError(f"threshold factor x must be positive, got {x}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w, d = _integer_weights(rates)
+    w, d = integer_weights(rates.rates)
     # integer heights reach x*H*D exactly when they reach its ceiling
     scaled = x * rates.H * d
     threshold = -(-scaled.numerator // scaled.denominator)

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import CertificateError, ListSchedule, RateVector, frac
+from .pinwheel import density
 
 DEFAULT_STATE_BUDGET = 10 ** 6
 _KAWAMURA_DENSITY = Fraction(5, 6)
@@ -68,7 +69,7 @@ def _density(limits: Sequence[int]) -> Fraction | None:
     """Sum of 1/A_i over sorted limits, or None if some limit is below 1."""
     if limits[0] < 1:
         return None
-    return sum((Fraction(b - a, limits[a]) for a, b in _runs(limits)), Fraction(0))
+    return density(limits)
 
 
 def _build_graph(limits: Sequence[int], state_budget: int):

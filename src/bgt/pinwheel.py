@@ -9,6 +9,11 @@ assigns the surviving powers of two pairwise-disjoint residue classes by
 dyadic (buddy) allocation.  Expansion trees remember every merge so the
 schedule can be unfolded back to the original bamboos as (p_i, q_i) pairs
 with h_i * q_i <= (1+delta)H.
+
+The arithmetic runs on the integer weights w_i = h_i * D (`integer_weights`);
+densities are summed per distinct frequency.  The certified bounds raise
+CertificateError, so they hold under `python -O` too; the remaining
+`assert`s are internal invariants of the construction.
 """
 
 from __future__ import annotations
@@ -16,24 +21,27 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .core import RateVector, ResidueSchedule, ScheduleError
+from .core import CertificateError, RateVector, ResidueSchedule, ScheduleError, integer_weights
 
 
 def density(freqs: Sequence[int]) -> Fraction:
-    """Sum of reciprocals; the necessary-feasibility measure."""
+    """Sum of reciprocals; the necessary-feasibility measure.
+
+    Summed as count/f over the distinct frequencies.
+    """
     if not freqs:
         raise ValueError("need at least one frequency")
-    total = Fraction(0)
-    for f in freqs:
+    counts = Counter(freqs)
+    for f in counts:
         if f < 1:
             raise ValueError(f"frequencies must be >= 1, got {f}")
-        total += Fraction(1, f)
-    return total
+    return sum((Fraction(c, f) for f, c in counts.items()), Fraction(0))
 
 
 def sqrt_upper(x: Fraction) -> Fraction:
@@ -118,20 +126,17 @@ class FrequencyForest:
         return (1 << k) + (j << (k - self.q))
 
     def density(self) -> Fraction:
-        total = Fraction(0)
-        for nodes in self.buckets.values():
-            for nd in nodes:
-                total += Fraction(1, nd.freq)
-        for nd in self.powers:
-            total += Fraction(1, nd.freq)
-        return total
+        """Sum of 1/freq over every node, grouped by frequency."""
+        freqs = [nd.freq for nodes in self.buckets.values() for nd in nodes]
+        return density(freqs + [nd.freq for nd in self.powers])
 
 
 def observation1_merge(forest: FrequencyForest, layer: int, group: int) -> None:
-    """Pair two equal frequencies 2f into one node of frequency f.
+    """Pair equal frequencies 2f two by two into nodes of frequency f.
 
-    The result lives one layer down in the same group; density is preserved
-    exactly (asserted on every application).
+    Pairs the bucket's entries in order, (0, 1), (2, 3), ..., leaving at
+    most one behind; the results go one layer down in the same group.
+    Density is preserved exactly (an internal invariant, asserted).
     """
     nodes = forest.buckets.get((layer, group))
     if not nodes or len(nodes) < 2:
@@ -139,21 +144,23 @@ def observation1_merge(forest: FrequencyForest, layer: int, group: int) -> None:
     if layer - 1 < forest.min_layer:
         raise ValueError(f"layer {layer}: pair result would drop off the grid")
     f = forest.grid_freq(layer, group)
-    a, b = nodes[0], nodes[1]
-    del nodes[:2]
-    assert a.freq == f and b.freq == f, "bucketed node with inconsistent frequency"
-    merged = Pair(a, b, f // 2)
-    # exact density preservation: 1/(2f') + 1/(2f') == 1/f'
-    assert Fraction(1, a.freq) + Fraction(1, b.freq) == Fraction(1, merged.freq)
-    forest.buckets.setdefault((layer - 1, group), []).append(merged)
-    forest.obs1_count += 1
+    assert all(nd.freq == f for nd in nodes), "bucketed node with inconsistent frequency"
+    # exact density preservation, 1/f + 1/f == 1/(f // 2), holds iff f is even
+    assert f % 2 == 0, "pairing an odd frequency would change the density"
+    half = f // 2
+    count = len(nodes) // 2
+    merged = [Pair(a, b, half) for a, b in zip(nodes[0:2 * count:2], nodes[1:2 * count:2])]
+    del nodes[:2 * count]
+    forest.buckets.setdefault((layer - 1, group), []).extend(merged)
+    forest.obs1_count += count
 
 
 def observation2_merge(forest: FrequencyForest, layer: int, group: int) -> None:
-    """Combine m = C+group equal lowest-layer frequencies into one power of two.
+    """Combine m = C+group equal lowest-layer frequencies into powers of two.
 
-    2^min*(1+j/C) divided by C+j is 2^(min-q); density is preserved exactly
-    (asserted on every application).
+    Bundles the bucket's entries m at a time, in order, leaving fewer than m
+    behind.  2^min*(1+j/C) divided by C+j is 2^(min-q); density is preserved
+    exactly (an internal invariant, asserted).
     """
     if layer != forest.min_layer:
         raise ValueError("bundle merges are only defined in the lowest layer")
@@ -163,14 +170,14 @@ def observation2_merge(forest: FrequencyForest, layer: int, group: int) -> None:
         have = len(nodes) if nodes else 0
         raise ValueError(f"layer {layer} group {group}: need {m} equal entries, have {have}")
     f = forest.grid_freq(layer, group)
-    taken = nodes[:m]
-    del nodes[:m]
-    assert all(nd.freq == f for nd in taken)
-    merged = Combine(taken, f // m)
-    assert merged.freq * m == f and merged.freq == 1 << (forest.min_layer - forest.q)
-    assert sum(Fraction(1, nd.freq) for nd in taken) == Fraction(1, merged.freq)
-    forest.powers.append(merged)
-    forest.obs2_count += 1
+    assert all(nd.freq == f for nd in nodes)
+    # m copies of 1/f sum to exactly 1/f' iff m * f' == f
+    fm = f // m
+    assert fm * m == f and fm == 1 << (forest.min_layer - forest.q)
+    count = len(nodes) // m
+    forest.powers.extend(Combine(nodes[t:t + m], fm) for t in range(0, count * m, m))
+    del nodes[:count * m]
+    forest.obs2_count += count
 
 
 def _push_down(forest: FrequencyForest, layer: int, group: int, node: Node) -> None:
@@ -195,7 +202,8 @@ def _allocate_dyadic(freqs: Sequence[int]) -> list[int]:
     class with modulus <= f keeps the free moduli pairwise distinct; if no
     such class existed, the free density would be below 1/f while at least
     1/f of the budget remains unassigned — impossible.  So the inner
-    assertion can only fire if the density precondition was violated.
+    assertion can only fire if the density precondition was violated; every
+    caller checks that precondition explicitly first.
     """
     order = sorted(range(len(freqs)), key=lambda i: (freqs[i], i))
     free: dict[int, int] = {1: 0}  # modulus -> the single free offset
@@ -229,6 +237,10 @@ def schedule_powers_of_two(freqs: Sequence[int]) -> ResidueSchedule:
     dens = density(freqs)
     if dens > 1:
         raise ValueError(f"density {dens} > 1: no disjoint assignment exists")
+    return _dyadic_schedule(freqs)
+
+
+def _dyadic_schedule(freqs: list[int]) -> ResidueSchedule:
     offsets = _allocate_dyadic(freqs)
     return ResidueSchedule(
         tuple((a + 1, f) for a, f in zip(offsets, freqs)), certified_disjoint=True
@@ -280,44 +292,50 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
         )
         return sched, diag
 
-    a_num, a_den = bound.numerator, bound.denominator  # f''_i = bound / h_i
-    f1 = bound / h[0]
+    # f''_i = bound / h_i = P / (b * w_i) over the integer weights w_i = h_i * D
+    w, D = integer_weights(h)
+    b = bound.denominator
+    P = bound.numerator * D
+    f1 = P // (b * w[0])
     assert f1 >= 4, "the delta formula guarantees f''_1 >= 4"
-    min_layer = (f1.numerator // f1.denominator).bit_length() - 1
-    fn = bound / h[-1]
-    max_layer = (fn.numerator // fn.denominator).bit_length() - 1
+    min_layer = f1.bit_length() - 1
+    max_layer = (P // (b * w[-1])).bit_length() - 1
     q = min_layer // 2
     C = 1 << q
     forest = FrequencyForest(min_layer, max_layer, q, C)
 
-    # step 2: round down to the largest grid value <= f''_i
-    for idx, hi in enumerate(h, start=1):
-        P = a_num * hi.denominator
-        Q = a_den * hi.numerator
-        k = (P // Q).bit_length() - 1
-        j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
-        assert 0 <= j < C and k >= min_layer
-        leaf = Leaf(idx, (1 << k) + (j << (k - q)))
-        if j == 0:
-            forest.powers.append(leaf)
-        else:
-            forest.buckets.setdefault((k, j), []).append(leaf)
+    # step 2: round down to the largest grid value <= f''_i; rates are sorted,
+    # so equal weights come in runs and share one rounding
+    prev = None
+    for idx, w_i in enumerate(w, start=1):
+        if w_i != prev:
+            prev = w_i
+            Q = b * w_i
+            k = (P // Q).bit_length() - 1
+            j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
+            assert 0 <= j < C and k >= min_layer
+            f = (1 << k) + (j << (k - q))
+            bucket = forest.powers if j == 0 else forest.buckets.setdefault((k, j), [])
+        bucket.append(Leaf(idx, f))
 
     dens2 = forest.density()
     dens2_bound = (1 + Fraction(1, C)) / (1 + delta)
-    assert dens2 <= dens2_bound, "rounded density exceeded (1+1/C)/(1+delta)"
+    if dens2 > dens2_bound:
+        raise CertificateError(
+            f"rounded density {dens2} exceeds (1+1/C)/(1+delta) = {dens2_bound}"
+        )
 
     # step 3: pair equal frequencies, top layer down to min+1
     for k in range(max_layer, min_layer, -1):
         for j in range(1, C):
             nodes = forest.buckets.get((k, j))
-            while nodes and len(nodes) >= 2:
+            if nodes and len(nodes) >= 2:
                 observation1_merge(forest, k, j)
 
     # step 4: bundle lowest-layer groups down to at most C+j-1 entries each
     for j in range(1, C):
         nodes = forest.buckets.get((min_layer, j))
-        while nodes and len(nodes) >= C + j:
+        if nodes and len(nodes) >= C + j:
             observation2_merge(forest, min_layer, j)
 
     # step 5: push leftovers to the next lower group, re-merging as we go
@@ -326,7 +344,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             nodes = forest.buckets.get((k, j))
             if not nodes:
                 continue
-            while len(nodes) >= 2:
+            if len(nodes) >= 2:
                 observation1_merge(forest, k, j)
             if nodes:
                 _push_down(forest, k, j, nodes.pop())
@@ -334,14 +352,15 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
         nodes = forest.buckets.get((min_layer, j))
         if not nodes:
             continue
-        while len(nodes) >= C + j:
+        if len(nodes) >= C + j:
             observation2_merge(forest, min_layer, j)
         while nodes:
             _push_down(forest, min_layer, j, nodes.pop(0))
 
     assert not any(forest.buckets.values()), "grid must be empty after push-downs"
     final_density = forest.density()
-    assert final_density <= 1, "final powers-of-two density above 1 — this is a bug"
+    if final_density > 1:
+        raise CertificateError(f"final powers-of-two density {final_density} exceeds 1")
 
     # step 6: allocate residues to the roots and unfold the expansion trees
     offsets = _allocate_dyadic([nd.freq for nd in forest.powers])
@@ -361,16 +380,22 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             )
     assert all(pq is not None for pq in pairs[1:])
 
-    realized = Fraction(0)
-    for i in range(1, n + 1):
-        p_i, q_i = pairs[i]
-        hi = h[i - 1]
+    # Integer heights w_i * t are at most bound * D exactly when they are at
+    # most cap = floor(P / b).
+    cap = P // b
+    top = 0
+    for i, (w_i, (p_i, q_i)) in enumerate(zip(w, pairs[1:]), start=1):
         # the per-bamboo guarantee: q_i never exceeds the target frequency
-        assert q_i * hi.numerator * a_den <= a_num * hi.denominator
-        height = hi * max(p_i, q_i)
-        if height > realized:
-            realized = height
-    assert realized <= bound
+        if w_i * q_i > cap:
+            raise CertificateError(
+                f"bamboo {i}: h_i * q_i = {h[i - 1] * q_i} exceeds (1+delta)H = {bound}"
+            )
+        t = w_i * (p_i if p_i > q_i else q_i)
+        if t > top:
+            top = t
+    realized = Fraction(top, D)
+    if top > cap:
+        raise CertificateError(f"realized height {realized} exceeds the bound {bound}")
 
     sched = ResidueSchedule(tuple(pairs[1:]), certified_disjoint=True)
     K = (1 << min_layer) // (C * C)
@@ -389,12 +414,13 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     f_i >= H/h_i keeps the density at most sum(h_i/H) = 1, and
     h_i * f_i <= 2H bounds every height.
     """
-    H2 = 2 * rates.H
-    freqs = []
-    for hi in rates.rates:
-        w = (H2.numerator * hi.denominator) // (H2.denominator * hi.numerator)
-        freqs.append(1 << (w.bit_length() - 1))
-    return schedule_powers_of_two(freqs)
+    w, D = integer_weights(rates.rates)
+    W2 = 2 * rates.H.numerator * (D // rates.H.denominator)   # 2H * D
+    freqs = [1 << ((W2 // w_i).bit_length() - 1) for w_i in w]
+    dens = density(freqs)
+    if dens > 1:
+        raise CertificateError(f"two_approx frequencies have density {dens} > 1")
+    return _dyadic_schedule(freqs)
 
 
 def density_34_frequencies(rates: RateVector) -> list[int]:

@@ -1,18 +1,27 @@
 """Pinwheel rounding: sqrt_upper, the frequency forest, and the schedulers."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgt import (
+    CertificateError,
+    MainDiagnostics,
     RateVector,
     ResidueSchedule,
     ScheduleError,
+    SimulationReport,
     density,
     density_34_frequencies,
     evaluate_cyclic,
@@ -23,6 +32,18 @@ from bgt import (
     schedule_powers_of_two,
     sqrt_upper,
     two_approx,
+)
+from bgt import pinwheel
+from bgt.core import integer_weights
+from bgt.pinwheel import (
+    Combine,
+    FrequencyForest,
+    Leaf,
+    Pair,
+    _allocate_dyadic,
+    _push_down,
+    observation1_merge,
+    observation2_merge,
 )
 
 ONE_PLUS = F(1 << 30 | 1, 1 << 30)  # relative slack guaranteed by sqrt_upper
@@ -136,3 +157,340 @@ def test_gen_integer_frequencies_margin_and_determinism():
 def test_gen_integer_frequencies_rejects_tiny_head():
     with pytest.raises(ValueError):
         gen_integer_frequencies(9, seed=0)
+
+
+# --- the integer paths against the Fraction bodies they replaced -----------
+# Each `_reference_*` is the Fraction body that main_algorithm (with its
+# one-merge-at-a-time Observation 1/2 steps), two_approx and the residue path
+# of evaluate_cyclic ran before they moved to integer weights over the common
+# denominator.  Schedules, diagnostics and reports must agree in full repr.
+
+
+def _reference_density(freqs):
+    return sum((F(1, f) for f in freqs), F(0))
+
+
+def _reference_forest_density(forest):
+    total = F(0)
+    for nodes in forest.buckets.values():
+        for nd in nodes:
+            total += F(1, nd.freq)
+    for nd in forest.powers:
+        total += F(1, nd.freq)
+    return total
+
+
+def _reference_observation1_merge(forest, layer, group):
+    nodes = forest.buckets.get((layer, group))
+    f = forest.grid_freq(layer, group)
+    a, b = nodes[0], nodes[1]
+    del nodes[:2]
+    assert a.freq == f and b.freq == f
+    merged = Pair(a, b, f // 2)
+    assert F(1, a.freq) + F(1, b.freq) == F(1, merged.freq)
+    forest.buckets.setdefault((layer - 1, group), []).append(merged)
+    forest.obs1_count += 1
+
+
+def _reference_observation2_merge(forest, layer, group):
+    m = forest.C + group
+    nodes = forest.buckets.get((layer, group))
+    f = forest.grid_freq(layer, group)
+    taken = nodes[:m]
+    del nodes[:m]
+    assert all(nd.freq == f for nd in taken)
+    merged = Combine(taken, f // m)
+    assert merged.freq * m == f and merged.freq == 1 << (forest.min_layer - forest.q)
+    assert sum(F(1, nd.freq) for nd in taken) == F(1, merged.freq)
+    forest.powers.append(merged)
+    forest.obs2_count += 1
+
+
+def _reference_main_algorithm(rates):
+    h = rates.rates
+    n = rates.n
+    H = rates.H
+    delta = 3 * sqrt_upper(h[0] / H)
+    bound = (1 + delta) * H
+    if n == 1:
+        sched = ResidueSchedule(((1, 1),), certified_disjoint=True)
+        diag = MainDiagnostics(delta, bound, F(1), F(1), F(1), 0, 0, 1, 1, 0, 0, h[0])
+        return sched, diag
+    a_num, a_den = bound.numerator, bound.denominator
+    f1 = bound / h[0]
+    assert f1 >= 4
+    min_layer = (f1.numerator // f1.denominator).bit_length() - 1
+    fn = bound / h[-1]
+    max_layer = (fn.numerator // fn.denominator).bit_length() - 1
+    q = min_layer // 2
+    C = 1 << q
+    forest = FrequencyForest(min_layer, max_layer, q, C)
+    for idx, hi in enumerate(h, start=1):
+        P = a_num * hi.denominator
+        Q = a_den * hi.numerator
+        k = (P // Q).bit_length() - 1
+        j = (P << q) // (Q << k) - C
+        assert 0 <= j < C and k >= min_layer
+        leaf = Leaf(idx, (1 << k) + (j << (k - q)))
+        if j == 0:
+            forest.powers.append(leaf)
+        else:
+            forest.buckets.setdefault((k, j), []).append(leaf)
+    dens2 = _reference_forest_density(forest)
+    dens2_bound = (1 + F(1, C)) / (1 + delta)
+    assert dens2 <= dens2_bound
+    for k in range(max_layer, min_layer, -1):
+        for j in range(1, C):
+            nodes = forest.buckets.get((k, j))
+            while nodes and len(nodes) >= 2:
+                _reference_observation1_merge(forest, k, j)
+    for j in range(1, C):
+        nodes = forest.buckets.get((min_layer, j))
+        while nodes and len(nodes) >= C + j:
+            _reference_observation2_merge(forest, min_layer, j)
+    for k in range(max_layer, min_layer, -1):
+        for j in range(C - 1, 0, -1):
+            nodes = forest.buckets.get((k, j))
+            if not nodes:
+                continue
+            while len(nodes) >= 2:
+                _reference_observation1_merge(forest, k, j)
+            if nodes:
+                _push_down(forest, k, j, nodes.pop())
+    for j in range(C - 1, 0, -1):
+        nodes = forest.buckets.get((min_layer, j))
+        if not nodes:
+            continue
+        while len(nodes) >= C + j:
+            _reference_observation2_merge(forest, min_layer, j)
+        while nodes:
+            _push_down(forest, min_layer, j, nodes.pop(0))
+    assert not any(forest.buckets.values())
+    final_density = _reference_forest_density(forest)
+    assert final_density <= 1
+    offsets = _allocate_dyadic([nd.freq for nd in forest.powers])
+    pairs = [None] * (n + 1)
+    stack = [(nd, a, nd.freq) for nd, a in zip(forest.powers, offsets)]
+    while stack:
+        nd, a, m = stack.pop()
+        if isinstance(nd, Leaf):
+            pairs[nd.index] = (a + 1, m)
+        elif isinstance(nd, Pair):
+            stack.append((nd.left, a, 2 * m))
+            stack.append((nd.right, a + m, 2 * m))
+        else:
+            mm = m * len(nd.children)
+            stack.extend((ch, a + t * m, mm) for t, ch in enumerate(nd.children))
+    realized = F(0)
+    for i in range(1, n + 1):
+        p_i, q_i = pairs[i]
+        hi = h[i - 1]
+        assert q_i * hi.numerator * a_den <= a_num * hi.denominator
+        height = hi * max(p_i, q_i)
+        if height > realized:
+            realized = height
+    assert realized <= bound
+    sched = ResidueSchedule(tuple(pairs[1:]), certified_disjoint=True)
+    K = (1 << min_layer) // (C * C)
+    diag = MainDiagnostics(
+        delta, bound, dens2, dens2_bound, final_density, min_layer, max_layer, C, K,
+        forest.obs1_count, forest.obs2_count, realized,
+    )
+    return sched, diag
+
+
+def _reference_two_approx(rates):
+    H2 = 2 * rates.H
+    freqs = []
+    for hi in rates.rates:
+        w = (H2.numerator * hi.denominator) // (H2.denominator * hi.numerator)
+        freqs.append(1 << (w.bit_length() - 1))
+    assert _reference_density(freqs) <= 1
+    offsets = _allocate_dyadic(freqs)
+    return ResidueSchedule(tuple((a + 1, f) for a, f in zip(offsets, freqs)), certified_disjoint=True)
+
+
+def _reference_evaluate_residue(rates, schedule):
+    per = []
+    steady = F(0)
+    for i, (p, q) in enumerate(schedule.pairs, start=1):
+        h = rates.rate(i)
+        per.append(h * max(p, q))
+        if h * q > steady:
+            steady = h * q
+    per = tuple(per)
+    gmax = max(per)
+    arg = per.index(gmax) + 1
+    p, q = schedule.pairs[arg - 1]
+    at = p if p >= q else p + q
+    return SimulationReport(per, gmax, arg, steady, None, at)
+
+
+def _primes(count, start):
+    found, c = [], start
+    while len(found) < count:
+        if all(c % p for p in range(2, isqrt(c) + 1)):
+            found.append(c)
+        c += 1
+    return found
+
+
+def _differential_inputs():
+    rng = random.Random(8)
+    for ratio in (F(1, 4), F(1, 16), F(1, 64), F(1, 256)):
+        for n in sorted({5 * ratio.denominator, 700, 3000}):
+            yield f"planted-{ratio}-{n}", gen_planted_head(n, ratio, rng.randrange(2**32))
+    yield "n1", RateVector([F(3, 7)])
+    yield "n1-huge", RateVector([F(2**70 + 1, 2**65 + 3)])
+    yield "n2", RateVector([F(1, 2), F(1, 3)])
+    yield "n2-equal", RateVector([F(5, 9), F(5, 9)])
+    yield "uniform16", RateVector([F(1, 16)] * 16)
+    yield "uniform-2000", RateVector([F(1, 2000)] * 2000)
+    runs = []
+    for value in (F(1, 3), F(1, 50), F(1, 51), F(2, 997), F(1, 1000)):
+        runs += [value] * rng.randint(1, 600)
+    yield "runs", RateVector(runs)
+    yield "head-and-crowd", RateVector([F(3, 4)] + [F(1, 4000)] * 1000)
+    primes = _primes(160, 1000)
+    prime_rates = RateVector.sorted_from(F(rng.randint(1, p - 1), p) for p in primes)
+    assert lcm(*primes) > 2**1000
+    yield "distinct-primes", prime_rates
+    yield "distinct-primes-head", RateVector.sorted_from([F(1)] + [F(1, p) for p in primes])
+    big = [F(rng.randint(1, 2**64), 2**64 + rng.randint(1, 2**40)) for _ in range(120)]
+    yield "above-2^64", RateVector.sorted_from(big)
+    yield "above-2^64-shared", RateVector.sorted_from(F(k, 2**67 + 9) for k in range(1, 301))
+
+
+_DIFFERENTIAL = list(_differential_inputs())
+
+
+@pytest.mark.parametrize("name,rates", _DIFFERENTIAL, ids=[name for name, _ in _DIFFERENTIAL])
+def test_integer_paths_match_the_fraction_reference(name, rates):
+    assert repr(rates.H) == repr(sum(rates.rates, F(0)))
+    main = main_algorithm(rates)
+    assert repr(main) == repr(_reference_main_algorithm(rates))
+    two = two_approx(rates)
+    assert repr(two) == repr(_reference_two_approx(rates))
+    for sched in (main[0], two):
+        assert repr(evaluate_cyclic(rates, sched)) == repr(_reference_evaluate_residue(rates, sched))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_residue_matches_the_fraction_reference(data):
+    # any offsets, p > q included, on small rates with mixed denominators
+    rates = RateVector.sorted_from(data.draw(st.lists(
+        st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12), min_size=1, max_size=6
+    )))
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=rates.n, max_size=rates.n
+    ))
+    sched = ResidueSchedule(tuple(pairs))
+    new = evaluate_cyclic(rates, sched, validate=False)
+    assert repr(new) == repr(_reference_evaluate_residue(rates, sched))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+def test_density_matches_the_fraction_sum(freqs):
+    assert repr(density(freqs)) == repr(_reference_density(freqs))
+
+
+# --- certificates that survive python -O -----------------------------------
+
+
+def _inflated_weights(rates):
+    w, d = integer_weights(rates)
+    return [2 * x for x in w], d
+
+
+def _push_up(forest, layer, group, node):
+    node.freq = 1 << (layer + 1)
+    forest.powers.append(node)
+
+
+def _push_to_one(forest, layer, group, node):
+    node.freq = 1
+    forest.powers.append(node)
+
+
+_BROKEN_STEPS = {
+    # weights that disagree with H halve every target frequency
+    "rounded density": ("integer_weights", _inflated_weights),
+    "final powers-of-two density": ("_push_down", _push_to_one),
+    "h_i \\* q_i = ": ("_push_down", _push_up),
+    "realized height": ("_allocate_dyadic", lambda fs: [a + (1 << 40) for a in _allocate_dyadic(fs)]),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_BROKEN_STEPS))
+def test_main_algorithm_certificates_raise(monkeypatch, message):
+    name, broken = _BROKEN_STEPS[message]
+    rates = gen_planted_head(300, F(1, 16), 4)
+    main_algorithm(rates)  # the unbroken run certifies
+    monkeypatch.setattr(pinwheel, name, broken)
+    with pytest.raises(CertificateError, match=message):
+        main_algorithm(rates)
+
+
+def test_two_approx_density_certificate_raises(monkeypatch):
+    rates = gen_planted_head(300, F(1, 16), 4)
+    monkeypatch.setattr(pinwheel, "integer_weights", _inflated_weights)
+    with pytest.raises(CertificateError, match="density"):
+        two_approx(rates)
+
+
+def test_certificates_survive_python_O():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        import bgt, bgt.pinwheel as pw
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        def push_to_one(forest, layer, group, node):
+            node.freq = 1
+            forest.powers.append(node)
+        pw._push_down = push_to_one
+        try:
+            bgt.main_algorithm(bgt.gen_planted_head(300, Fraction(1, 16), 4))
+        except bgt.CertificateError as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(pinwheel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: final powers-of-two density")
+
+
+def test_merge_identities_refuse_a_density_change():
+    # q = layer makes the grid frequency 2^k + j odd: pairing two 1/3s is not 1/1
+    forest = FrequencyForest(min_layer=0, max_layer=1, q=1, C=2)
+    forest.buckets[(1, 1)] = [Leaf(1, 3), Leaf(2, 3)]
+    with pytest.raises(AssertionError, match="odd"):
+        observation1_merge(forest, 1, 1)
+    # C != 2^q: four copies of 1/6 do not bundle into one power of two
+    forest = FrequencyForest(min_layer=2, max_layer=2, q=1, C=3)
+    forest.buckets[(2, 1)] = [Leaf(i, 6) for i in range(1, 5)]
+    with pytest.raises(AssertionError):
+        observation2_merge(forest, 2, 1)
+
+
+def test_merges_take_the_bucket_in_order():
+    forest = FrequencyForest(min_layer=2, max_layer=3, q=1, C=2)
+    leaves = [Leaf(i, 12) for i in range(1, 6)]  # grid_freq(3, 1) = 8 + 4
+    forest.buckets[(3, 1)] = list(leaves)
+    observation1_merge(forest, 3, 1)
+    assert forest.buckets[(3, 1)] == [leaves[4]]
+    lower = forest.buckets[(2, 1)]
+    assert [(p.left.index, p.right.index, p.freq) for p in lower] == [(1, 2, 6), (3, 4, 6)]
+    assert forest.obs1_count == 2
+    # C + 1 = 3 copies of 2^2 * (1 + 1/2) = 6 bundle into one 2^(2-1) = 2
+    lower.append(Leaf(6, 6))
+    observation2_merge(forest, 2, 1)
+    assert lower == []
+    assert [(len(nd.children), nd.freq) for nd in forest.powers] == [(3, 2)]
+    assert forest.obs2_count == 1
