@@ -34,7 +34,6 @@ from .continuous import (
 from .core import (
     CertificateError,
     InstanceFormatError,
-    ListSchedule,
     RateVector,
     ResidueSchedule,
     ScheduleError,
@@ -44,9 +43,11 @@ from .core import (
     gen_planted_head,
     load_instance,
     load_schedule,
+    next_cuts_stream,
     save_instance,
     save_schedule,
     simulate_walk,
+    validate_residue,
 )
 from .offline import eight_fifths
 from .online import (
@@ -68,7 +69,6 @@ from .pinwheel import (
     density_34_frequencies,
     gen_integer_frequencies,
     main_algorithm,
-    next_cuts_stream,
     two_approx,
 )
 
@@ -151,12 +151,6 @@ def _write_instance(obj, path: str | None) -> None:
             save_instance(obj, fp)
     else:
         save_instance(obj, sys.stdout)
-
-
-def _schedule_prefix(schedule, k: int = 64) -> list[int]:
-    if isinstance(schedule, ResidueSchedule):
-        return list(islice(next_cuts_stream(schedule), k))
-    return list((schedule.preamble + schedule.period)[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +260,8 @@ def cmd_approx(args) -> int:
         sched, cert = eight_fifths(rates, m, oracle_budget=_budget())
         bound = cert["global_bound"]
         extra = {"case": cert["case"], "certificate": cert}
+    if args.verify and isinstance(sched, ResidueSchedule):
+        validate_residue(sched)  # whatever the schedule's certificate says
     report = evaluate_cyclic(rates, sched, validate=args.verify)
     oracle_opt = None
     if args.oracle:
@@ -273,7 +269,7 @@ def cmd_approx(args) -> int:
     doc = _report_doc(rates.H, report, bound, oracle_opt)
     doc.update(_jsonable(extra))
     if args.algo == "eightfifths":
-        doc["schedule_prefix"] = _schedule_prefix(sched)
+        doc["schedule_prefix"] = list(islice(next_cuts_stream(sched), 64))
     if args.out:
         with open(args.out, "w") as fp:
             save_schedule(sched, fp)
@@ -489,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("algo", choices=["two", "main", "eightfifths", "d34"])
     a.add_argument("instance")
     a.add_argument("--m", help="group-count override for eightfifths (rational)")
-    a.add_argument("--verify", action="store_true", help="re-validate schedule structure")
+    a.add_argument("--verify", action="store_true", help="re-check even a certified schedule")
     a.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
     a.add_argument("--out", help="write the schedule JSON here")
     a.add_argument("--report", help="also write the report JSON here")

@@ -1,10 +1,14 @@
-"""Exact-rational instances, cyclic schedules, and simulation engines.
+"""Exact-rational instances, cyclic schedules, their expansion, and
+simulation engines.
 
 Every height is exact and there is no floating point anywhere in height
 accounting, so approximation guarantees are checked as hard inequalities.
 Rates come in as `fractions.Fraction`s; the hot paths compare heights as
 exact integers over the rates' common denominator (`integer_weights`) and
-build a `Fraction` only for a value they report.
+build a `Fraction` only for a value they report.  Cyclic schedules come in
+two forms, residue pairs and (preamble, period) lists; `next_cuts_stream`
+unrolls either form round by round.  The collision check and the list
+path of `evaluate_cyclic` scan bounded windows of their own.
 
 Conventions used throughout the package:
 
@@ -17,12 +21,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import cycle
 from math import gcd, lcm
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class InstanceFormatError(ValueError):
@@ -121,8 +127,8 @@ class ResidueSchedule:
 
     Bamboo i is cut at rounds p_i + k*q_i for all k >= 0 (1-based rounds).
     `certified_disjoint` marks schedules whose residue classes are disjoint
-    by construction (the dyadic allocator asserts this locally); validation
-    then skips the hyperperiod expansion.
+    by construction (the dyadic allocator asserts this locally);
+    `evaluate_cyclic` then skips the collision check.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -162,6 +168,35 @@ class ListSchedule:
 
 CyclicSchedule = ResidueSchedule | ListSchedule
 
+
+def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
+    """Yield a cyclic schedule round by round (0 = idle), forever.
+
+    The one schedule-expansion primitive.  A residue schedule runs a
+    priority queue, O(log n) per round, and raises ScheduleError in the
+    round after two bamboos collide; a list schedule yields its preamble,
+    then its period over and over.  The stream is single-consumer.
+    """
+    if isinstance(schedule, ListSchedule):
+        yield from schedule.preamble
+        yield from cycle(schedule.period)  # never returns
+    heap = [(p, i, q) for i, (p, q) in enumerate(schedule.pairs, start=1)]
+    heapq.heapify(heap)
+    r = 1
+    while True:
+        if heap and heap[0][0] == r:
+            t, i, qq = heap[0]
+            heapq.heapreplace(heap, (t + qq, i, qq))
+            yield i
+        else:
+            if heap and heap[0][0] < r:
+                raise ScheduleError(
+                    f"two bamboos scheduled in round {heap[0][0]}: residue collision"
+                )
+            yield 0
+        r += 1
+
+
 # Expansion budget for collision checking of uncertified residue schedules.
 RESIDUE_EXPANSION_CAP = 2 ** 20
 # Pairwise-congruence fallback is quadratic; keep it for small n only.
@@ -173,11 +208,9 @@ def validate_residue(schedule: ResidueSchedule, cap: int = RESIDUE_EXPANSION_CAP
 
     Two residue classes p mod q and p' mod q' share a round iff
     p = p' (mod gcd(q, q')), so either a hyperperiod expansion (<= `cap`
-    rounds) or the pairwise congruence test gives an exact answer.  Certified
-    schedules (built by the dyadic allocator) are trusted.
+    rounds) or the pairwise congruence test gives an exact answer.  Every
+    schedule is checked, `certified_disjoint` or not.
     """
-    if schedule.certified_disjoint:
-        return
     hyper = 1
     for _, q in schedule.pairs:
         hyper = hyper // gcd(hyper, q) * q
@@ -361,7 +394,7 @@ def evaluate_cyclic(
     if isinstance(schedule, ResidueSchedule):
         if schedule.n != rates.n:
             raise ScheduleError(f"schedule covers {schedule.n} bamboos, instance has {rates.n}")
-        if validate:
+        if validate and not schedule.certified_disjoint:
             validate_residue(schedule)
         return _evaluate_residue(rates, schedule)
     if isinstance(schedule, ListSchedule):

@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle
 from math import gcd, lcm, log2
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
+    CertificateError,
     CyclicSchedule,
     ListSchedule,
     RateVector,
     ResidueSchedule,
     evaluate_cyclic,
+    next_cuts_stream,
 )
 from .oracle import BudgetExceededError, DEFAULT_STATE_BUDGET, optimal_height
-from .pinwheel import main_algorithm, next_cuts_stream, two_approx
+from .pinwheel import main_algorithm, two_approx
 
 
 def default_group_count(n: int) -> Fraction:
@@ -79,16 +80,6 @@ def rebalance(
 # ---------------------------------------------------------------------------
 
 
-def _lane_stream(schedule: CyclicSchedule, mapping: Sequence[int]) -> Iterator[int]:
-    """Infinite stream of global indices (0 = idle) for one token's lane."""
-    if isinstance(schedule, ResidueSchedule):
-        raw: Iterator[int] = next_cuts_stream(schedule)
-    else:
-        raw = chain(iter(schedule.preamble), cycle(schedule.period))
-    table = (0,) + tuple(mapping)
-    return (table[v] for v in raw)
-
-
 def _lane_shape(schedule: CyclicSchedule) -> tuple[int, int]:
     """(preamble length, period length) of a lane in sub-rounds."""
     if isinstance(schedule, ResidueSchedule):
@@ -125,10 +116,10 @@ def merge_schedules(
         pre_cycles = max(pre_cycles, -(-pre_t // c))
         period_cycles = lcm(period_cycles, per_t // gcd(per_t, c))
 
-    streams = {t: _lane_stream(sched, mapping) for t, (sched, mapping) in lanes.items()}
-    total = (pre_cycles + period_cycles) * P
+    streams = {t: next_cuts_stream(sched) for t, (sched, _) in lanes.items()}
+    tables = {t: (0, *mapping) for t, (_, mapping) in lanes.items()}  # 0 stays idle
     rounds = [
-        next(streams[pattern[r % P]]) for r in range(total)
+        tables[t][next(streams[t])] for t in list(pattern) * (pre_cycles + period_cycles)
     ]
     cut = pre_cycles * P
     return ListSchedule(tuple(rounds[:cut]), tuple(rounds[cut:]), n)
@@ -160,7 +151,6 @@ def _dilated_gap(pattern_len: int, offsets: Sequence[int], g: int) -> int:
 
 @dataclass
 class _Lane:
-    label: str
     members: list[int]                  # global 1-based indices
     schedule: CyclicSchedule
     scheduler: str                      # "oracle" | "two_approx" | "main" | "single"
@@ -178,7 +168,6 @@ def _sub_rates(rates: RateVector, members: Sequence[int]) -> RateVector:
 
 
 def _schedule_lane(
-    label: str,
     rates: RateVector,
     members: list[int],
     scheduler: str,
@@ -213,7 +202,7 @@ def _schedule_lane(
         gaps = {g: max(p, q) for g, (p, q) in zip(members, sched.pairs)}
         bound = diag.bound
         delta = diag.delta
-    return _Lane(label, members, sched, scheduler, gaps, bound, opt, delta, fallback)
+    return _Lane(members, sched, scheduler, gaps, bound, opt, delta, fallback)
 
 
 def eight_fifths(
@@ -226,8 +215,9 @@ def eight_fifths(
 
     Returns (schedule, certificate).  The certificate records the case, the
     slot pattern, every lane's scheduler and certified bound, and for every
-    bamboo its realized supremum next to its certified height bound; all
-    inequalities are asserted before returning.
+    bamboo its realized supremum next to its certified height bound.  Every
+    inequality is checked before returning; a broken one raises
+    CertificateError, also under `python -O`.
     """
     budget = DEFAULT_STATE_BUDGET if oracle_budget is None else oracle_budget
     if m is None:
@@ -288,7 +278,7 @@ def eight_fifths(
     pattern = [t for t in pattern if plan[t][0]]
     plan = {t: v for t, v in plan.items() if v[0]}
     lanes = {
-        t: _schedule_lane(t, rates, members, scheduler, budget)
+        t: _schedule_lane(rates, members, scheduler, budget)
         for t, (members, scheduler) in plan.items()
     }
 
@@ -317,8 +307,8 @@ def eight_fifths(
                 _dilated_gap(P, offsets, ln.sub_gaps[i]) * rates.rate(i)
                 for i in ln.members
             )
-            if case == 1:
-                assert token_bound <= Fraction(3, 2) * ln.opt
+            if case == 1 and token_bound > Fraction(3, 2) * ln.opt:
+                raise CertificateError(f"token {t}: bound {token_bound} > 3/2 of OPT {ln.opt}")
         else:
             token_bound = dil * ln.token_bound
         member_max = Fraction(0)
@@ -326,9 +316,11 @@ def eight_fifths(
             g = ln.sub_gaps[i]
             hb = _dilated_gap(P, offsets, g) * rates.rate(i)
             realized = report.per_bamboo_max[i - 1]
-            assert realized <= hb <= token_bound, (
-                f"bamboo {i}: realized {realized} vs bound {hb} (token {t})"
-            )
+            if not realized <= hb <= token_bound:
+                raise CertificateError(
+                    f"bamboo {i}: realized {realized} vs bound {hb}"
+                    f" and token bound {token_bound} (token {t})"
+                )
             member_max = max(member_max, realized)
             per_bamboo.append(
                 {"index": i, "rate": rates.rate(i), "realized": realized, "height_bound": hb}
@@ -347,7 +339,8 @@ def eight_fifths(
             "oracle_fallback": ln.oracle_fallback,
         }
     per_bamboo.sort(key=lambda e: e["index"])
-    assert report.global_max <= global_bound
+    if report.global_max > global_bound:
+        raise CertificateError(f"global realized {report.global_max} exceeds {global_bound}")
 
     cert = {
         "case": case,

@@ -8,7 +8,8 @@ one power of two), pushes stragglers into the next lower group, and finally
 assigns the surviving powers of two pairwise-disjoint residue classes by
 dyadic (buddy) allocation.  Expansion trees remember every merge so the
 schedule can be unfolded back to the original bamboos as (p_i, q_i) pairs
-with h_i * q_i <= (1+delta)H.
+with h_i * q_i <= (1+delta)H.  The schedulers here return `ResidueSchedule`s;
+`bgt.core.next_cuts_stream` unrolls them round by round.
 
 The arithmetic runs on the integer weights w_i = h_i * D (`integer_weights`);
 densities are summed per distinct frequency.  The certified bounds raise
@@ -18,16 +19,15 @@ CertificateError, so they hold under `python -O` too; the remaining
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import CertificateError, RateVector, ResidueSchedule, ScheduleError, integer_weights
+from .core import CertificateError, RateVector, ResidueSchedule, integer_weights
 
 
 def density(freqs: Sequence[int]) -> Fraction:
@@ -90,19 +90,6 @@ class Combine:
 
 
 Node = Leaf | Pair | Combine
-
-
-def _node_leaves(node: Node):
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if isinstance(nd, Leaf):
-            yield nd
-        elif isinstance(nd, Pair):
-            stack.append(nd.left)
-            stack.append(nd.right)
-        else:
-            stack.extend(nd.children)
 
 
 @dataclass
@@ -473,25 +460,3 @@ def gen_integer_frequencies(
     freqs = sorted([f1] + draws)
     assert density(freqs) <= target
     return freqs
-
-
-def next_cuts_stream(schedule: ResidueSchedule) -> Iterator[int]:
-    """Yield the schedule round by round (0 = idle) via a priority queue.
-
-    O(log n) per round; the stream is infinite and single-consumer.
-    """
-    heap = [(p, i, q) for i, (p, q) in enumerate(schedule.pairs, start=1)]
-    heapq.heapify(heap)
-    r = 1
-    while True:
-        if heap and heap[0][0] == r:
-            t, i, qq = heap[0]
-            heapq.heapreplace(heap, (t + qq, i, qq))
-            yield i
-        else:
-            if heap and heap[0][0] < r:
-                raise ScheduleError(
-                    f"two bamboos scheduled in round {heap[0][0]}: residue collision"
-                )
-            yield 0
-        r += 1

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from bgt import load_instance
+import bgt.cli
+from bgt import ResidueSchedule, load_instance
 from bgt.cli import main
 
 INSTANCE_715 = '{"rates": ["7/15", "1/3", "1/5"]}\n'
@@ -62,6 +63,24 @@ def test_approx_main_verify_certifies_uniform16(tmp_path, capsys):
     assert doc["final_density"] == "5/8"
 
 
+def test_approx_main_verify_catches_a_collision_behind_a_certificate(
+    inst715, capsys, monkeypatch
+):
+    real = bgt.cli.main_algorithm
+
+    def colliding(rates):
+        # bamboo 3 gets bamboo 2's pair, and the schedule still claims disjointness
+        sched, diag = real(rates)
+        pairs = sched.pairs[:2] + sched.pairs[1:2]
+        return ResidueSchedule(pairs, certified_disjoint=True), diag
+
+    monkeypatch.setattr(bgt.cli, "main_algorithm", colliding)
+    assert main(["approx", "main", inst715]) == 0
+    capsys.readouterr()
+    assert main(["approx", "main", inst715, "--verify"]) == 1
+    assert "collision" in capsys.readouterr().err
+
+
 def test_approx_eightfifths_emits_certificate(inst715, capsys):
     assert main(["approx", "eightfifths", inst715, "--oracle"]) == 0
     doc = _out_doc(capsys)
@@ -73,7 +92,19 @@ def test_approx_eightfifths_emits_certificate(inst715, capsys):
     assert token["scheduler"] == "main"
     assert (token["count"], token["offsets"], token["opt"]) == (1, [0], None)
     assert token["realized"] == doc["global_max"]
-    assert len(doc["schedule_prefix"]) > 0
+    assert len(doc["schedule_prefix"]) == 64
+
+
+def test_approx_eightfifths_prefix_cycles_a_list_period(tmp_path, capsys):
+    inst = tmp_path / "giant.json"
+    inst.write_text(json.dumps({"rates": ["3/4", "1/8", "1/8"]}))
+    sched_path = tmp_path / "merged.json"
+    assert main(["approx", "eightfifths", str(inst), "--m", "2", "--out", str(sched_path)]) == 0
+    doc = _out_doc(capsys)
+    assert doc["case"] == 6
+    sched = json.loads(sched_path.read_text())
+    assert sched["preamble"] == [] and len(sched["period"]) == 8
+    assert doc["schedule_prefix"] == sched["period"] * 8
 
 
 def test_simulate_family_rm127_default_rounds(capsys):

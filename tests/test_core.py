@@ -4,9 +4,11 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from itertools import islice
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgt import (
@@ -23,13 +25,14 @@ from bgt import (
     instance_to_dict,
     load_instance,
     load_schedule,
+    main_algorithm,
+    next_cuts_stream,
+    schedule_powers_of_two,
     schedule_to_dict,
     simulate_discrete,
     simulate_walk,
     validate_residue,
 )
-from bgt.pinwheel import next_cuts_stream
-
 
 def test_frac_accepts_exact_forms():
     assert frac("7/15") == F(7, 15)
@@ -107,14 +110,51 @@ def test_simulate_discrete_never_cut_counts_full_window():
     assert rep.per_bamboo_max[1] == 1
 
 
-def test_evaluate_residue_matches_stream_expansion():
-    sched = ResidueSchedule(((1, 2), (2, 4), (4, 4)))
-    validate_residue(sched)
-    rates = RateVector([F(1, 2), F(1, 8), F(1, 8)])
+_RATE = st.integers(min_value=1, max_value=12).map(lambda k: F(1, k))
+
+
+@st.composite
+def _residue_cases(draw):
+    if draw(st.booleans()):
+        # power-of-two frequencies, kept while their density stays <= 1
+        freqs, room = [], 32
+        for e in draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8)):
+            if 32 >> e <= room:
+                freqs.append(1 << e)
+                room -= 32 >> e
+        n = len(freqs)
+        rates = RateVector.sorted_from(draw(st.lists(_RATE, min_size=n, max_size=n)))
+        return rates, schedule_powers_of_two(freqs)
+    n = draw(st.integers(min_value=16, max_value=48))
+    ratio = draw(st.sampled_from([F(1, 4), F(1, 8)]))
+    rates = gen_planted_head(n, ratio, draw(st.integers(min_value=0, max_value=999)))
+    return rates, main_algorithm(rates)[0]
+
+
+@st.composite
+def _list_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    cut = st.integers(min_value=0, max_value=n)  # 0 = idle round
+    preamble = draw(st.lists(cut, max_size=6))
+    period = draw(st.permutations(list(range(1, n + 1)) + draw(st.lists(cut, max_size=6))))
+    rates = RateVector.sorted_from(draw(st.lists(_RATE, min_size=n, max_size=n)))
+    return rates, ListSchedule(tuple(preamble), tuple(period), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_residue_cases(), _list_cases()))
+@example((RateVector([F(1, 2), F(1, 8), F(1, 8)]), ResidueSchedule(((1, 2), (2, 4), (4, 4)))))
+def test_evaluate_residue_matches_stream_expansion(case):
+    rates, sched = case
     rep = evaluate_cyclic(rates, sched)
-    # expand long enough to witness every cyclic gap, ignore the cut tail
-    stream = next_cuts_stream(sched)
-    window = [next(stream) for _ in range(4 + 3 * 4)]
+    if isinstance(sched, ResidueSchedule):
+        head, period = max(p for p, _ in sched.pairs), lcm(*(q for _, q in sched.pairs))
+    else:
+        head, period = len(sched.preamble), len(sched.period)
+    # every first and cyclic gap closes within head + 2 periods; ignore the cut tail
+    window = list(islice(next_cuts_stream(sched), head + 2 * period))
+    if isinstance(sched, ListSchedule):
+        assert window == list(sched.preamble + sched.period * 2)
     brute = simulate_discrete(rates, window, include_tail=False)
     assert rep.per_bamboo_max == brute.per_bamboo_max
     assert rep.global_max == brute.global_max

@@ -1,10 +1,16 @@
 """Case-dispatched offline scheduler and its exact certificates."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from bgt import (
+    CertificateError,
     ListSchedule,
     RateVector,
     ResidueSchedule,
@@ -16,6 +22,7 @@ from bgt import (
     rebalance,
     split,
 )
+from bgt import offline
 from bgt.offline import _dilated_gap
 
 
@@ -146,3 +153,39 @@ def test_oracle_budget_exhaustion_falls_back_to_two_approx():
     assert lane["opt"] is None
     rep = evaluate_cyclic(rv, sched)
     assert rep.global_max == cert["global_realized"] <= cert["global_bound"]
+
+
+def _under_reported(pattern_len, offsets, g):
+    return _dilated_gap(pattern_len, offsets, g) - 1
+
+
+def test_certificate_raises_on_an_under_reported_gap(monkeypatch):
+    rates = RateVector(DESIGNED[6][1])
+    eight_fifths(rates, 2)  # the unbroken run certifies
+    monkeypatch.setattr(offline, "_dilated_gap", _under_reported)
+    with pytest.raises(CertificateError, match="bamboo 1: realized 3/2 vs bound 3/4"):
+        eight_fifths(rates, 2)
+
+
+def test_certificates_survive_python_O():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        import bgt, bgt.offline as off
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        real = off._dilated_gap
+        off._dilated_gap = lambda pattern_len, offsets, g: real(pattern_len, offsets, g) - 1
+        try:
+            bgt.eight_fifths(bgt.RateVector([Fraction(3, 4), Fraction(1, 8), Fraction(1, 8)]), 2)
+        except bgt.CertificateError as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(offline.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: bamboo 1: realized 3/2 vs bound 3/4")
