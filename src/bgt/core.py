@@ -7,8 +7,9 @@ Rates come in as `fractions.Fraction`s; the hot paths compare heights as
 exact integers over the rates' common denominator (`integer_weights`) and
 build a `Fraction` only for a value they report.  Cyclic schedules come in
 two forms, residue pairs and (preamble, period) lists; `next_cuts_stream`
-unrolls either form round by round.  The collision check and the list
-path of `evaluate_cyclic` scan bounded windows of their own.
+unrolls either form round by round.  `validate_residue` decides residue
+disjointness exactly, period group by period group, for any hyperperiod;
+the list path of `evaluate_cyclic` scans a preamble + 2 periods window.
 
 Conventions used throughout the package:
 
@@ -135,11 +136,12 @@ class ResidueSchedule:
     certified_disjoint: bool = False
 
     def __post_init__(self):
-        pairs = tuple((int(p), int(q)) for p, q in self.pairs)
+        pairs = tuple(map(tuple, self.pairs))
         object.__setattr__(self, "pairs", pairs)
         for i, (p, q) in enumerate(pairs, start=1):
-            if p < 1 or q < 1:
-                raise ScheduleError(f"bamboo {i}: offset/period ({p},{q}) must be >= 1")
+            # nothing is truncated, and bools are refused
+            if type(p) is not int or type(q) is not int or p < 1 or q < 1:
+                raise ScheduleError(f"bamboo {i}: offset/period ({p!r},{q!r}) must be ints >= 1")
 
     @property
     def n(self) -> int:
@@ -155,10 +157,13 @@ class ListSchedule:
     n: int = 0  # 0 = infer from the largest index present
 
     def __post_init__(self):
-        object.__setattr__(self, "preamble", tuple(int(i) for i in self.preamble))
-        object.__setattr__(self, "period", tuple(int(i) for i in self.period))
+        object.__setattr__(self, "preamble", tuple(self.preamble))
+        object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ScheduleError("period must be nonempty")
+        for i in self.preamble + self.period:
+            if type(i) is not int:  # nothing is truncated, and bools are refused
+                raise ScheduleError(f"cut index {i!r} must be an integer")
         if self.n == 0:
             object.__setattr__(self, "n", max(self.preamble + self.period))
         for i in self.preamble + self.period:
@@ -197,56 +202,51 @@ def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
         r += 1
 
 
-# Expansion budget for collision checking of uncertified residue schedules.
-RESIDUE_EXPANSION_CAP = 2 ** 20
-# Pairwise-congruence fallback is quadratic; keep it for small n only.
-_CRT_FALLBACK_LIMIT = 2048
+# Largest (distinct periods) x n that `validate_residue` takes on: the work
+# of a pairwise congruence test over 2048 bamboos.
+_RESIDUE_CHECK_WORK = 2048 * 2048
 
 
-def validate_residue(schedule: ResidueSchedule, cap: int = RESIDUE_EXPANSION_CAP) -> None:
+def validate_residue(schedule: ResidueSchedule) -> None:
     """Check that no two bamboos are ever cut in the same round.
 
-    Two residue classes p mod q and p' mod q' share a round iff
-    p = p' (mod gcd(q, q')), so either a hyperperiod expansion (<= `cap`
-    rounds) or the pairwise congruence test gives an exact answer.  Every
-    schedule is checked, `certified_disjoint` or not.
+    Classes p mod q and p' mod q' meet iff p = p' (mod gcd(q, q')).  So the
+    offsets are grouped by period, where a repeated residue is a collision,
+    and each pair of distinct periods reduces both groups modulo their gcd
+    and tests them for overlap: exact for any hyperperiod, in about
+    (distinct periods) x n steps.  Every schedule is checked,
+    `certified_disjoint` or not.
     """
-    hyper = 1
-    for _, q in schedule.pairs:
-        hyper = hyper // gcd(hyper, q) * q
-        if hyper > cap:
-            hyper = 0
-            break
-    if hyper:
-        taken = bytearray(hyper)
-        for i, (p, q) in enumerate(schedule.pairs, start=1):
-            for r in range((p - 1) % q, hyper, q):
-                if taken[r]:
-                    raise ScheduleError(
-                        f"collision: bamboo {i} shares round {r + 1} (mod {hyper}) "
-                        f"with an earlier bamboo"
-                    )
-                taken[r] = 1
-        return
-    if schedule.n > _CRT_FALLBACK_LIMIT:
-        raise ScheduleError(
-            f"cannot validate disjointness: hyperperiod exceeds {cap} and "
-            f"n = {schedule.n} is too large for the pairwise test"
-        )
     pairs = schedule.pairs
-    for i in range(len(pairs)):
-        p_i, q_i = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            p_j, q_j = pairs[j]
-            if (p_i - p_j) % gcd(q_i, q_j) == 0:
-                raise ScheduleError(f"collision: bamboos {i + 1} and {j + 1} share rounds")
-
-
-def validate_list(schedule: ListSchedule) -> None:
-    """Every bamboo 1..n must appear at least once in the period."""
-    missing = set(range(1, schedule.n + 1)) - set(schedule.period)
-    if missing:
-        raise ScheduleError(f"period never cuts bamboo(s) {sorted(missing)}")
+    groups: dict[int, dict[int, int]] = {}  # period -> {offset mod period: bamboo}
+    for i, (p, q) in enumerate(pairs, start=1):
+        j = groups.setdefault(q, {}).setdefault(p % q, i)
+        if j != i:
+            raise ScheduleError(f"collision: bamboos {j} and {i} share rounds")
+    if len(groups) * len(pairs) > _RESIDUE_CHECK_WORK:
+        raise ScheduleError(
+            f"cannot validate disjointness: {len(groups)} distinct periods x "
+            f"{len(pairs)} bamboos is above {_RESIDUE_CHECK_WORK} steps"
+        )
+    periods = sorted(groups)
+    flat = [(q, r, i) for q in periods for r, i in groups[q].items()]
+    end = 0
+    for a, q in enumerate(periods):
+        group = groups[q]
+        end += len(group)
+        if len(group) == 1:  # one congruence per later class is cheaper than sets
+            _, r0, i = flat[end - 1]
+            for q2, r, j in flat[end:]:
+                if (r - r0) % gcd(q, q2) == 0:
+                    raise ScheduleError(f"collision: bamboos {i} and {j} share rounds")
+            continue
+        reduced: dict[int, dict[int, int]] = {}  # gcd -> {offset mod gcd: bamboo}
+        for q2 in periods[a + 1 :]:
+            g = gcd(q, q2)
+            mine = reduced.get(g) or reduced.setdefault(g, {r % g: i for r, i in group.items()})
+            for r, j in groups[q2].items():
+                if r % g in mine:
+                    raise ScheduleError(f"collision: bamboos {mine[r % g]} and {j} share rounds")
 
 
 @dataclass(frozen=True)
@@ -522,7 +522,7 @@ def load_instance(source: IO[str] | str):
         for i, row in enumerate(raw_t)
     )
     start = doc.get("start", 1)
-    if not isinstance(start, int):
+    if type(start) is not int:  # bools refused
         raise InstanceFormatError("start", f"must be an integer index, got {start!r}")
     from .continuous import MetricInstance  # local import: continuous builds on core
 
@@ -556,15 +556,16 @@ def load_schedule(source: IO[str] | str) -> CyclicSchedule:
         ):
             raise InstanceFormatError("residue", "must be a list of [offset, period] pairs")
         try:
-            return ResidueSchedule(tuple((int(p), int(q)) for p, q in pairs))
+            return ResidueSchedule(pairs)
         except ScheduleError as exc:
             raise InstanceFormatError("residue", str(exc))
     if "period" in doc:
+        preamble, period, n = doc.get("preamble", []), doc["period"], doc.get("n", 0)
+        if type(n) is not int:  # bools refused
+            raise InstanceFormatError("n", f"must be an integer, got {n!r}")
         try:
-            return ListSchedule(
-                tuple(doc.get("preamble", [])), tuple(doc["period"]), int(doc.get("n", 0))
-            )
-        except ScheduleError as exc:
+            return ListSchedule(tuple(preamble), tuple(period), n)
+        except (ScheduleError, TypeError) as exc:  # TypeError: not a list
             raise InstanceFormatError("period", str(exc))
     raise InstanceFormatError("document", 'schedule needs a "residue" or "period" field')
 

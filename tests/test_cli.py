@@ -81,6 +81,35 @@ def test_approx_main_verify_catches_a_collision_behind_a_certificate(
     assert "collision" in capsys.readouterr().err
 
 
+def test_verify_decides_a_main_schedule_with_a_long_hyperperiod(tmp_path, capsys):
+    # n = 2100 at head ratio 1/64: the hyperperiod is 36,900,864 rounds
+    inst, sched = str(tmp_path / "inst.json"), str(tmp_path / "sched.json")
+    gen = ["gen", "random", "--n", "2100", "--seed", "0", "--head-ratio", "1/64"]
+    assert main(gen + ["--out", inst]) == 0
+    capsys.readouterr()
+    assert main(["approx", "main", inst, "--verify", "--out", sched]) == 0
+    built = _out_doc(capsys)
+    assert main(["verify", inst, "--schedule", sched]) == 0
+    assert _out_doc(capsys)["global_max"] == built["global_max"]
+
+
+def test_verify_refuses_a_schedule_above_the_check_work_cap(tmp_path, capsys):
+    # 2049 bamboos with 2049 distinct periods: disjoint, but too costly to decide
+    n = 2049
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    inst.write_text(json.dumps({"rates": [f"1/{n}"] * n}))
+    sched.write_text(json.dumps({"residue": [[i, 4096 * i] for i in range(1, n + 1)]}))
+    assert main(["verify", str(inst), "--schedule", str(sched)]) == 1
+    assert "cannot validate disjointness" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_truncated_schedule_entry(tmp_path, inst715, capsys):
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"residue": [[1.5, 2], [2, 4], [4, 4]]}')
+    assert main(["verify", inst715, "--schedule", str(sched)]) == 2
+    assert "residue" in capsys.readouterr().err
+
+
 def test_approx_eightfifths_emits_certificate(inst715, capsys):
     assert main(["approx", "eightfifths", inst715, "--oracle"]) == 0
     doc = _out_doc(capsys)

@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +31,7 @@ from bgt import (
     schedule_to_dict,
     simulate_discrete,
     simulate_walk,
+    two_approx,
     validate_residue,
 )
 
@@ -76,12 +77,80 @@ def test_residue_schedule_validation():
         validate_residue(ResidueSchedule(((1, 2), (3, 2))))  # both odd
 
 
-def test_residue_collision_found_by_crt_for_coprime_periods():
-    # rounds 2+5k and 3+3k collide at 12; the hyperperiod is tiny but the
-    # pairwise congruence path must find it too
-    bad = ResidueSchedule(((2, 5), (3, 3)))
-    with pytest.raises(ScheduleError):
-        validate_residue(bad)
+def _pairwise_disjoint(pairs) -> bool:
+    """Reference: the congruence test p = p' (mod gcd(q, q')) on every pair."""
+    return all(
+        (p - p2) % gcd(q, q2) for k, (p, q) in enumerate(pairs) for p2, q2 in pairs[k + 1 :]
+    )
+
+
+def _named_pair(err) -> tuple[int, int]:
+    i, j = map(int, re.search(r"bamboos (\d+) and (\d+)", str(err.value)).groups())
+    assert i != j
+    return i, j
+
+
+@pytest.mark.parametrize(
+    "pairs, shared_round",
+    [
+        pytest.param(((2, 4), (1, 2), (3, 2)), 3, id="same-period"),
+        pytest.param(((2, 5), (3, 3)), 12, id="coprime"),
+        pytest.param(((1, 4), (3, 6)), 9, id="shared-gcd"),
+        pytest.param(((1, 4), (2, 6)), None, id="disjoint-mixed"),
+    ],
+)
+def test_residue_disjointness_table(pairs, shared_round):
+    if shared_round is None:
+        validate_residue(ResidueSchedule(pairs))
+        return
+    with pytest.raises(ScheduleError, match="collision") as err:
+        validate_residue(ResidueSchedule(pairs))
+    i, j = _named_pair(err)
+    for p, q in (pairs[i - 1], pairs[j - 1]):  # both named bamboos are cut in that round
+        assert shared_round >= p and (shared_round - p) % q == 0
+
+
+@st.composite
+def _residue_schedules(draw):
+    # classes with distinct residues modulo a base m never meet; a few free
+    # pairs on top usually make some collide
+    m = draw(st.integers(min_value=1, max_value=12))
+    pairs = []
+    for r in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)):
+        q = m * draw(st.integers(min_value=1, max_value=4))
+        pairs.append((r + m * draw(st.integers(min_value=0 if r else 1, max_value=3)), q))
+    free = st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=24))
+    pairs += draw(st.lists(free, max_size=3))
+    return tuple(draw(st.permutations(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residue_schedules())
+@example(tuple((i, 16 * i) for i in range(1, 9)) + ((9, 16),))  # one-class groups, then a clash
+def test_validate_residue_matches_the_pairwise_reference(pairs):
+    if _pairwise_disjoint(pairs):
+        validate_residue(ResidueSchedule(pairs))
+    else:
+        with pytest.raises(ScheduleError, match="collision") as err:
+            validate_residue(ResidueSchedule(pairs))
+        i, j = _named_pair(err)
+        assert not _pairwise_disjoint((pairs[i - 1], pairs[j - 1]))
+
+
+def test_validate_residue_refuses_only_above_its_work_cap():
+    # classes i mod 4096 (i <= 2049) never meet; each bamboo has its own period
+    pairs = tuple((i, 4096 * i) for i in range(1, 2050))
+    validate_residue(ResidueSchedule(pairs[:2048]))  # 2048 x 2048 steps: decided
+    with pytest.raises(ScheduleError, match="cannot validate disjointness"):
+        validate_residue(ResidueSchedule(pairs))
+
+
+@pytest.mark.parametrize("ratio", [F(1, 4), F(1, 16), F(1, 64), F(1, 256)], ids=str)
+def test_validate_residue_decides_planted_head_schedules(ratio):
+    # n > 2048 with hyperperiods beyond 2^20 rounds at 1/64 and 1/256
+    rates = gen_planted_head(2100, ratio, 0)
+    for sched in (main_algorithm(rates)[0], two_approx(rates)):
+        validate_residue(ResidueSchedule(sched.pairs))
 
 
 def test_list_schedule_validation():
@@ -234,10 +303,33 @@ def test_schedule_json_roundtrip():
     assert (back2.preamble, back2.period, back2.n) == ((2,), (1, 2), 2)
 
 
+@pytest.mark.parametrize(
+    "text, field, bad",
+    [
+        pytest.param('{"residue": [[1.5, 2], [2, 2]]}', "residue", "1.5", id="float-offset"),
+        pytest.param('{"residue": [[1, true]]}', "residue", "True", id="bool-period"),
+        pytest.param('{"residue": [["1", 2]]}', "residue", "'1'", id="string-offset"),
+        pytest.param('{"period": [1, 2.9]}', "period", "cut index 2.9", id="float-cut"),
+        pytest.param('{"preamble": [false], "period": [1]}', "period", "cut index False", id="bool-cut"),
+        pytest.param('{"period": [1, 2], "n": 2.0}', "n", "2.0", id="float-n"),
+        pytest.param('{"period": 5}', "period", "not iterable", id="period-not-a-list"),
+    ],
+)
+def test_load_schedule_refuses_non_integers(text, field, bad):
+    # nothing is truncated: the file is checked as written or not at all
+    with pytest.raises(InstanceFormatError) as err:
+        load_schedule(text)
+    assert err.value.field == field and bad in str(err.value)
+
+
 def test_load_instance_names_bad_field():
     with pytest.raises(InstanceFormatError) as err:
         load_instance('{"rates": ["1/2", "nope"]}')
     assert err.value.field == "rates[1]"
+    for start in ("true", "1.0"):
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance('{"rates": ["1/2"], "travel": [[0]], "start": %s}' % start)
+        assert err.value.field == "start"
 
 
 def test_gen_planted_head_exact_ratio():

@@ -32,6 +32,7 @@ from bgt import (
     schedule_powers_of_two,
     sqrt_upper,
     two_approx,
+    validate_residue,
 )
 from bgt import pinwheel
 from bgt.core import integer_weights
@@ -71,8 +72,7 @@ def test_allocator_frozen_trace():
     sched = schedule_powers_of_two([2, 4, 8, 8])
     assert sched.pairs == ((1, 2), (2, 4), (4, 8), (8, 8))
     assert list(itertools.islice(next_cuts_stream(sched), 8)) == [1, 2, 1, 3, 1, 2, 1, 4]
-    # re-validating without the certificate exercises the CRT disjointness check
-    ResidueSchedule(sched.pairs)
+    validate_residue(ResidueSchedule(sched.pairs))  # disjoint without its certificate
 
 
 def test_stream_detects_collisions_behind_a_false_certificate():
