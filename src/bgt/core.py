@@ -22,12 +22,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import cycle
+from itertools import count, cycle
 from math import gcd, lcm
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -58,9 +58,7 @@ def frac(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"refusing inexact conversion to Fraction: {value!r}")
 
@@ -177,29 +175,36 @@ CyclicSchedule = ResidueSchedule | ListSchedule
 def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
     """Yield a cyclic schedule round by round (0 = idle), forever.
 
-    The one schedule-expansion primitive.  A residue schedule runs a
-    priority queue, O(log n) per round, and raises ScheduleError in the
-    round after two bamboos collide; a list schedule yields its preamble,
-    then its period over and over.  The stream is single-consumer.
+    The one schedule-expansion primitive.  A residue schedule is filled in
+    blocks of w rounds from the bamboos due in each, O(1) per round on
+    average, and raises ScheduleError in the round after two bamboos
+    collide; a list schedule yields its preamble, then its period over and
+    over.  The stream is single-consumer.
     """
     if isinstance(schedule, ListSchedule):
         yield from schedule.preamble
         yield from cycle(schedule.period)  # never returns
-    heap = [(p, i, q) for i, (p, q) in enumerate(schedule.pairs, start=1)]
-    heapq.heapify(heap)
-    r = 1
-    while True:
-        if heap and heap[0][0] == r:
-            t, i, qq = heap[0]
-            heapq.heapreplace(heap, (t + qq, i, qq))
-            yield i
-        else:
-            if heap and heap[0][0] < r:
-                raise ScheduleError(
-                    f"two bamboos scheduled in round {heap[0][0]}: residue collision"
-                )
-            yield 0
-        r += 1
+    w, period = 256, [0] + [q for _, q in schedule.pairs]  # w: rounds filled ahead
+    nxt = [0] + [p for p, _ in schedule.pairs]  # each bamboo's next cut
+    due = defaultdict(list)  # block -> the bamboos cut in it
+    for i in range(1, len(nxt)):
+        due[(nxt[i] - 1) // w].append(i)
+    clash = 0  # first round two bamboos share; 0 = none seen yet
+    for b in count():
+        base, out = b * w + 1, [0] * w  # out[s] is cut in round base + s
+        for i in due.pop(b, ()):
+            q = period[i]
+            for s in range(nxt[i] - base, w, q):
+                if out[s]:  # both are due in this round: the lower index is cut
+                    clash, out[s] = min(clash or base + s, base + s), min(out[s], i)
+                else:
+                    out[s] = i
+            nxt[i] = t = base + s + q
+            due[(t - 1) // w].append(i)
+        if clash and clash < base + w:
+            yield from out[: clash - base + 1]
+            raise ScheduleError(f"two bamboos scheduled in round {clash}: residue collision")
+        yield from out
 
 
 # Largest (distinct periods) x n that `validate_residue` takes on: the work
@@ -573,11 +578,7 @@ def load_schedule(source: IO[str] | str) -> CyclicSchedule:
 def schedule_to_dict(schedule: CyclicSchedule) -> dict:
     if isinstance(schedule, ResidueSchedule):
         return {"residue": [[p, q] for p, q in schedule.pairs]}
-    return {
-        "preamble": list(schedule.preamble),
-        "period": list(schedule.period),
-        "n": schedule.n,
-    }
+    return {"preamble": list(schedule.preamble), "period": list(schedule.period), "n": schedule.n}
 
 
 def save_schedule(schedule: CyclicSchedule, fp: IO[str]) -> None:

@@ -229,6 +229,33 @@ def test_evaluate_residue_matches_stream_expansion(case):
     assert rep.global_max == brute.global_max
 
 
+def _reference_stream(pairs, rounds):
+    """Round by round: the lowest-index bamboo due (0 = idle), up to the
+    first round two bamboos share, which is returned as the clash."""
+    out = []
+    for r in range(1, rounds + 1):
+        due = [i for i, (p, q) in enumerate(pairs, start=1) if r >= p and (r - p) % q == 0]
+        out.append(min(due, default=0))
+        if len(due) > 1:
+            return out, r
+    return out, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_residue_schedules(), st.sampled_from([1, 7, 40]))
+@example(((256, 300), (256, 512)), 1)  # clash in the last round of a block
+@example(((1, 256), (257, 512)), 1)  # clash in the first round of the next
+def test_next_cuts_stream_matches_the_reference(pairs, k):
+    # scaling offsets and periods by k moves every clash to k times its round
+    pairs = tuple((k * p, k * q) for p, q in pairs)
+    want, clash = _reference_stream(pairs, 1200)
+    stream = next_cuts_stream(ResidueSchedule(pairs))
+    assert list(islice(stream, len(want))) == want
+    if clash is not None:
+        with pytest.raises(ScheduleError, match=f"round {clash}: residue collision"):
+            next(stream)
+
+
 def test_evaluate_list_matches_long_simulation():
     rates = RateVector([F(1, 2), F(1, 3), F(1, 12)])
     sched = ListSchedule((2,), (1, 2, 1, 3), 3)
