@@ -35,7 +35,6 @@ from .core import (
     CertificateError,
     InstanceFormatError,
     RateVector,
-    ResidueSchedule,
     ScheduleError,
     SimulationReport,
     evaluate_cyclic,
@@ -47,7 +46,6 @@ from .core import (
     save_instance,
     save_schedule,
     simulate_walk,
-    validate_residue,
 )
 from .offline import eight_fifths
 from .online import (
@@ -260,9 +258,7 @@ def cmd_approx(args) -> int:
         sched, cert = eight_fifths(rates, m, oracle_budget=_budget())
         bound = cert["global_bound"]
         extra = {"case": cert["case"], "certificate": cert}
-    if args.verify and isinstance(sched, ResidueSchedule):
-        validate_residue(sched)  # whatever the schedule's certificate says
-    report = evaluate_cyclic(rates, sched, validate=args.verify)
+    report = evaluate_cyclic(rates, sched)
     oracle_opt = None
     if args.oracle:
         oracle_opt, _ = optimal_height(rates, state_budget=_budget())
@@ -301,7 +297,7 @@ def cmd_verify(args) -> int:
     rates = _load_rates(args.instance)
     with open(args.schedule) as fp:
         sched = load_schedule(fp)
-    report = evaluate_cyclic(rates, sched, validate=True)
+    report = evaluate_cyclic(rates, sched)
     bound = frac(args.bound) if args.bound else None
     doc = _report_doc(rates.H, report, bound)
     ok = bound is None or report.global_max <= bound
@@ -380,7 +376,7 @@ def cmd_bench(args) -> int:
         else:
             sched, cert = eight_fifths(rates, oracle_budget=budget)
             bound = cert["global_bound"]
-        report = evaluate_cyclic(rates, sched, validate=False)
+        report = evaluate_cyclic(rates, sched)
         opt = ratio_opt = ""
         if args.oracle_max_n and n <= args.oracle_max_n:
             try:
@@ -485,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("algo", choices=["two", "main", "eightfifths", "d34"])
     a.add_argument("instance")
     a.add_argument("--m", help="group-count override for eightfifths (rational)")
-    a.add_argument("--verify", action="store_true", help="re-check even a certified schedule")
     a.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
     a.add_argument("--out", help="write the schedule JSON here")
     a.add_argument("--report", help="also write the report JSON here")

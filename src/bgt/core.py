@@ -7,9 +7,9 @@ Rates come in as `fractions.Fraction`s; the hot paths compare heights as
 exact integers over the rates' common denominator (`integer_weights`) and
 build a `Fraction` only for a value they report.  Cyclic schedules come in
 two forms, residue pairs and (preamble, period) lists; `next_cuts_stream`
-unrolls either form round by round.  `validate_residue` decides residue
-disjointness exactly, period group by period group, for any hyperperiod;
-the list path of `evaluate_cyclic` scans a preamble + 2 periods window.
+unrolls either form round by round.  `evaluate_cyclic` checks every residue
+schedule with `validate_residue` (exact, period group by period group, for
+any hyperperiod); its list path scans a preamble + 2 periods window.
 
 Conventions used throughout the package:
 
@@ -125,13 +125,11 @@ class ResidueSchedule:
     """Cyclic schedule as per-bamboo (offset, period) pairs.
 
     Bamboo i is cut at rounds p_i + k*q_i for all k >= 0 (1-based rounds).
-    `certified_disjoint` marks schedules whose residue classes are disjoint
-    by construction (the dyadic allocator asserts this locally);
-    `evaluate_cyclic` then skips the collision check.
+    Disjointness is not part of the type: `evaluate_cyclic` checks it on
+    every schedule, whoever built it.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    certified_disjoint: bool = False
 
     def __post_init__(self):
         pairs = tuple(map(tuple, self.pairs))
@@ -207,11 +205,6 @@ def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
         yield from out
 
 
-# Largest (distinct periods) x n that `validate_residue` takes on: the work
-# of a pairwise congruence test over 2048 bamboos.
-_RESIDUE_CHECK_WORK = 2048 * 2048
-
-
 def validate_residue(schedule: ResidueSchedule) -> None:
     """Check that no two bamboos are ever cut in the same round.
 
@@ -219,8 +212,9 @@ def validate_residue(schedule: ResidueSchedule) -> None:
     offsets are grouped by period, where a repeated residue is a collision,
     and each pair of distinct periods reduces both groups modulo their gcd
     and tests them for overlap: exact for any hyperperiod, in about
-    (distinct periods) x n steps.  Every schedule is checked,
-    `certified_disjoint` or not.
+    (distinct periods) x n steps.  It takes on up to the work of a pairwise
+    test over 2048 bamboos, or 64 steps per bamboo if that is more: at most
+    a constant factor more than reading the schedule.
     """
     pairs = schedule.pairs
     groups: dict[int, dict[int, int]] = {}  # period -> {offset mod period: bamboo}
@@ -228,10 +222,11 @@ def validate_residue(schedule: ResidueSchedule) -> None:
         j = groups.setdefault(q, {}).setdefault(p % q, i)
         if j != i:
             raise ScheduleError(f"collision: bamboos {j} and {i} share rounds")
-    if len(groups) * len(pairs) > _RESIDUE_CHECK_WORK:
+    work = max(2048 * 2048, 64 * len(pairs))
+    if len(groups) * len(pairs) > work:
         raise ScheduleError(
             f"cannot validate disjointness: {len(groups)} distinct periods x "
-            f"{len(pairs)} bamboos is above {_RESIDUE_CHECK_WORK} steps"
+            f"{len(pairs)} bamboos is above {work} steps"
         )
     periods = sorted(groups)
     flat = [(q, r, i) for q in periods for r, i in groups[q].items()]
@@ -245,13 +240,15 @@ def validate_residue(schedule: ResidueSchedule) -> None:
                 if (r - r0) % gcd(q, q2) == 0:
                     raise ScheduleError(f"collision: bamboos {i} and {j} share rounds")
             continue
-        reduced: dict[int, dict[int, int]] = {}  # gcd -> {offset mod gcd: bamboo}
+        reduced: dict[int, set[int]] = {}  # gcd -> the group's offsets mod gcd
         for q2 in periods[a + 1 :]:
             g = gcd(q, q2)
-            mine = reduced.get(g) or reduced.setdefault(g, {r % g: i for r, i in group.items()})
-            for r, j in groups[q2].items():
-                if r % g in mine:
-                    raise ScheduleError(f"collision: bamboos {mine[r % g]} and {j} share rounds")
+            mine = reduced.get(g) or reduced.setdefault(g, {r % g for r in group})
+            if not mine.isdisjoint([r % g for r in groups[q2]]):
+                # a clash: only now find the two bamboos to name
+                owner = {r % g: i for r, i in group.items()}
+                r, j = next((r, j) for r, j in groups[q2].items() if r % g in owner)
+                raise ScheduleError(f"collision: bamboos {owner[r % g]} and {j} share rounds")
 
 
 @dataclass(frozen=True)
@@ -264,10 +261,6 @@ class SimulationReport:
     steady_state_max: Fraction              # supremum after the preamble / first period
     horizon: Fraction | int | None          # rounds or time simulated; None = analytic
     argmax_round: Fraction | int | None = None
-
-    def __post_init__(self):
-        assert self.global_max == max(self.per_bamboo_max)
-        assert self.steady_state_max <= self.global_max
 
 
 def _gap_scan(
@@ -313,6 +306,8 @@ def _gap_scan(
     gmax = max(per)
     arg = per.index(gmax) + 1
     steady = max(rates.rate(i) * steady_gap[i] for i in range(1, n + 1))
+    if steady > gmax:  # internal invariant: no steady gap outgrows its bamboo's largest
+        raise CertificateError(f"steady-state max {steady} above global max {gmax}")
     return SimulationReport(per, gmax, arg, steady, end, best_at[arg])
 
 
@@ -351,14 +346,17 @@ def simulate_discrete(
 
 def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> SimulationReport:
     # Heights compare as integers w_i * m_i over D; only the reported values
-    # become Fractions.
+    # become Fractions, one per distinct height.
     w, d = integer_weights(rates.rates)
     pairs = schedule.pairs
     tops = [w_i * (p if p > q else q) for w_i, (p, q) in zip(w, pairs)]
     top = max(tops)
     arg = tops.index(top) + 1
     steady = max(w_i * q for w_i, (_, q) in zip(w, pairs))
-    per = tuple(Fraction(t, d) for t in tops)
+    if steady > top:  # internal invariant: q_i <= max(p_i, q_i) for every bamboo
+        raise CertificateError(f"steady-state max {Fraction(steady, d)} above global max")
+    height = {t: Fraction(t, d) for t in set(tops)}
+    per = tuple(map(height.__getitem__, tops))
     p, q = pairs[arg - 1]
     at = p if p >= q else p + q
     return SimulationReport(per, per[arg - 1], arg, Fraction(steady, d), None, at)
@@ -387,25 +385,27 @@ def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationRepor
 def evaluate_cyclic(
     rates: RateVector, schedule: CyclicSchedule, *, validate: bool = True
 ) -> SimulationReport:
-    """Exact supremum report for an infinite cyclic schedule, without
-    unbounded simulation.
+    """Exact supremum report for an infinite cyclic schedule, checked first
+    (`validate` is kept for old callers and must be True).
 
-    ResidueForm: per-bamboo supremum is h_i * max(p_i, q_i).
+    ResidueForm: classes that meet raise ScheduleError (`validate_residue`);
+    the per-bamboo supremum is h_i * max(p_i, q_i).
     ListForm: maximum cyclic gap in one period plus the first-occurrence gap,
     obtained from an explicit preamble + 2 periods expansion.  A period that
-    never cuts some bamboo raises ScheduleError whatever `validate` says:
-    that bamboo's height has no finite supremum.
+    never cuts some bamboo raises ScheduleError: that bamboo's height has no
+    finite supremum.
     """
+    if validate is not True:
+        raise TypeError("evaluate_cyclic checks every schedule; validate must be True")
     if isinstance(schedule, ResidueSchedule):
         if schedule.n != rates.n:
             raise ScheduleError(f"schedule covers {schedule.n} bamboos, instance has {rates.n}")
-        if validate and not schedule.certified_disjoint:
-            validate_residue(schedule)
+        validate_residue(schedule)
         return _evaluate_residue(rates, schedule)
     if isinstance(schedule, ListSchedule):
         if schedule.n > rates.n:
             raise ScheduleError(f"schedule names bamboo {schedule.n}, instance has {rates.n}")
-        if validate and schedule.n != rates.n:
+        if schedule.n != rates.n:
             raise ScheduleError(
                 f"period must cut every bamboo 1..{rates.n} (covers only {schedule.n})"
             )
@@ -479,8 +479,9 @@ def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:
     rng = random.Random(seed)
     weights = [rng.randint(1 << 10, 1 << 12) for _ in range(n - 1)]
     scale = (1 / ratio - 1) / sum(weights)
+    rate_of = {w: w * scale for w in set(weights)}  # one product per distinct weight
     # scale > 0, so sorting the integer weights sorts the rates
-    tail = [w * scale for w in sorted(weights, reverse=True)]
+    tail = [rate_of[w] for w in sorted(weights, reverse=True)]
     if tail[0] > 1:
         raise ValueError(f"n={n} too small for head_ratio={ratio}")
     return RateVector([Fraction(1)] + tail)

@@ -178,7 +178,7 @@ def _schedule_lane(
     opt = None
     delta = None
     if scheduler == "single":
-        sched: CyclicSchedule = ResidueSchedule(((1, 1),), certified_disjoint=True)
+        sched: CyclicSchedule = ResidueSchedule(((1, 1),))
         gaps = {members[0]: 1}
         bound = sub.rates[0]
     elif scheduler == "oracle":
@@ -187,7 +187,7 @@ def _schedule_lane(
         except BudgetExceededError:
             scheduler, fallback = "two_approx", True
         if opt is not None:
-            report = evaluate_cyclic(sub, sched, validate=False)
+            report = evaluate_cyclic(sub, sched)
             gaps = {
                 g: int(report.per_bamboo_max[k - 1] / sub.rates[k - 1])
                 for k, g in enumerate(members, start=1)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import CertificateError, ListSchedule, RateVector, frac
-from .pinwheel import density
+from .pinwheel import _int_frequencies, density
 
 DEFAULT_STATE_BUDGET = 10 ** 6
 _KAWAMURA_DENSITY = Fraction(5, 6)
@@ -274,10 +274,7 @@ def pinwheel_feasible(
     Equivalent to feasible_under_cap on rates (1/f_1, ..., 1/f_n) with cap 1,
     run directly on integer ages.  Frequency 1 means "every slot".
     """
-    freqs = [int(f) for f in freqs]
-    if any(f < 1 for f in freqs):
-        raise ValueError(f"frequencies must be positive integers: {freqs}")
-    return _ages_feasible(freqs, state_budget)
+    return _ages_feasible(_int_frequencies(freqs), state_budget)
 
 
 def pinwheel_witness(
@@ -286,7 +283,4 @@ def pinwheel_witness(
     """(preamble, period) witness slot assignment for a feasible Pinwheel
     instance, or None if infeasible.  The witness never idles: cutting
     something is always at least as good."""
-    freqs = [int(f) for f in freqs]
-    if any(f < 1 for f in freqs):
-        raise ValueError(f"frequencies must be positive integers: {freqs}")
-    return _ages_witness(freqs, state_budget)
+    return _ages_witness(_int_frequencies(freqs), state_budget)

@@ -44,6 +44,15 @@ def density(freqs: Sequence[int]) -> Fraction:
     return sum((Fraction(c, f) for f, c in counts.items()), Fraction(0))
 
 
+def _int_frequencies(freqs: Sequence[int]) -> list[int]:
+    """The frequencies as a list; all but ints >= 1 (bools too) are refused."""
+    freqs = list(freqs)
+    for f in freqs:
+        if type(f) is not int or f < 1:
+            raise ValueError(f"frequencies must be ints >= 1, got {f!r}")
+    return freqs
+
+
 def sqrt_upper(x: Fraction) -> Fraction:
     """A rational s with sqrt(x) <= s <= sqrt(x) * (1 + 2^-30).
 
@@ -214,12 +223,13 @@ def _allocate_dyadic(freqs: Sequence[int]) -> list[int]:
 def schedule_powers_of_two(freqs: Sequence[int]) -> ResidueSchedule:
     """Disjoint residue classes (p_i mod f_i) for power-of-two frequencies.
 
-    Errors on non-powers of two or density > 1.  The result is marked
-    certified_disjoint: the allocator's trie invariant guarantees it.
+    Errors on non-integers, non-powers of two or density > 1.  The classes
+    are disjoint by the allocator's trie invariant, and `evaluate_cyclic`
+    checks them like any other schedule's.
     """
-    freqs = [int(f) for f in freqs]
+    freqs = _int_frequencies(freqs)
     for f in freqs:
-        if f < 1 or f & (f - 1):
+        if f & (f - 1):
             raise ValueError(f"not a power of two: {f}")
     dens = density(freqs)
     if dens > 1:
@@ -229,9 +239,7 @@ def schedule_powers_of_two(freqs: Sequence[int]) -> ResidueSchedule:
 
 def _dyadic_schedule(freqs: list[int]) -> ResidueSchedule:
     offsets = _allocate_dyadic(freqs)
-    return ResidueSchedule(
-        tuple((a + 1, f) for a, f in zip(offsets, freqs)), certified_disjoint=True
-    )
+    return ResidueSchedule(tuple((a + 1, f) for a, f in zip(offsets, freqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     delta = 3 * sqrt_upper(h[0] / H)
     bound = (1 + delta) * H
     if n == 1:
-        sched = ResidueSchedule(((1, 1),), certified_disjoint=True)
+        sched = ResidueSchedule(((1, 1),))
         diag = MainDiagnostics(
             delta, bound, Fraction(1), Fraction(1), Fraction(1),
             0, 0, 1, 1, 0, 0, h[0],
@@ -384,7 +392,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     if top > cap:
         raise CertificateError(f"realized height {realized} exceeds the bound {bound}")
 
-    sched = ResidueSchedule(tuple(pairs[1:]), certified_disjoint=True)
+    sched = ResidueSchedule(tuple(pairs[1:]))
     K = (1 << min_layer) // (C * C)
     assert K in (1, 2)
     diag = MainDiagnostics(
@@ -427,7 +435,8 @@ def density_34_frequencies(rates: RateVector) -> list[int]:
             )
         freqs.append((A.numerator * hi.denominator) // (A.denominator * hi.numerator))
     dens = density(freqs)
-    assert dens < Fraction(3, 4), "density bound is a theorem under the precondition"
+    if dens >= Fraction(3, 4):  # a theorem under the precondition
+        raise CertificateError(f"density {dens} of the 3/4 frequencies is not below 3/4")
     return freqs
 
 

@@ -56,7 +56,7 @@ def test_oracle_feasible_cap(inst715, capsys):
 def test_approx_main_verify_certifies_uniform16(tmp_path, capsys):
     path = tmp_path / "u16.json"
     path.write_text(json.dumps({"rates": ["1/16"] * 16}))
-    assert main(["approx", "main", str(path), "--verify"]) == 0
+    assert main(["approx", "main", str(path)]) == 0
     doc = _out_doc(capsys)
     assert doc["global_max"] == "7/4"
     assert doc["bound_satisfied"] is True
@@ -69,15 +69,13 @@ def test_approx_main_verify_catches_a_collision_behind_a_certificate(
     real = bgt.cli.main_algorithm
 
     def colliding(rates):
-        # bamboo 3 gets bamboo 2's pair, and the schedule still claims disjointness
+        # bamboo 3 gets bamboo 2's pair
         sched, diag = real(rates)
         pairs = sched.pairs[:2] + sched.pairs[1:2]
-        return ResidueSchedule(pairs, certified_disjoint=True), diag
+        return ResidueSchedule(pairs), diag
 
     monkeypatch.setattr(bgt.cli, "main_algorithm", colliding)
-    assert main(["approx", "main", inst715]) == 0
-    capsys.readouterr()
-    assert main(["approx", "main", inst715, "--verify"]) == 1
+    assert main(["approx", "main", inst715]) == 1
     assert "collision" in capsys.readouterr().err
 
 
@@ -87,7 +85,7 @@ def test_verify_decides_a_main_schedule_with_a_long_hyperperiod(tmp_path, capsys
     gen = ["gen", "random", "--n", "2100", "--seed", "0", "--head-ratio", "1/64"]
     assert main(gen + ["--out", inst]) == 0
     capsys.readouterr()
-    assert main(["approx", "main", inst, "--verify", "--out", sched]) == 0
+    assert main(["approx", "main", inst, "--out", sched]) == 0
     built = _out_doc(capsys)
     assert main(["verify", inst, "--schedule", sched]) == 0
     assert _out_doc(capsys)["global_max"] == built["global_max"]

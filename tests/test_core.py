@@ -145,6 +145,35 @@ def test_validate_residue_refuses_only_above_its_work_cap():
         validate_residue(ResidueSchedule(pairs))
 
 
+def test_validate_residue_takes_64_periods_per_bamboo_above_the_fixed_cap():
+    # offsets distinct modulo 2^17 never meet; M periods 2^17 * c over n =
+    # 70,000 bamboos: M * n > 2048 x 2048 for M >= 60
+    n = 70_000
+
+    def schedule(m):
+        return ResidueSchedule(tuple((i, (1 << 17) * (1 + i % m)) for i in range(1, n + 1)))
+
+    validate_residue(schedule(64))  # 64 x n steps: decided
+    with pytest.raises(ScheduleError, match="cannot validate disjointness"):
+        validate_residue(schedule(65))
+
+
+def test_evaluate_cyclic_has_no_unchecked_mode():
+    rates = RateVector([F(1, 2), F(1, 2)])
+    with pytest.raises(ScheduleError, match="collision"):
+        evaluate_cyclic(rates, ResidueSchedule(((1, 2), (1, 2))))
+    with pytest.raises(TypeError, match="validate must be True"):
+        evaluate_cyclic(rates, ResidueSchedule(((1, 2), (2, 2))), validate=False)
+
+
+def test_evaluate_cyclic_decides_a_main_schedule_with_24_periods():
+    # 24 distinct periods x 2*10^5 bamboos is above 2048 x 2048
+    rates = gen_planted_head(2 * 10**5, F(1, 256), 0)
+    sched, diag = main_algorithm(rates)
+    assert len({q for _, q in sched.pairs}) == 24
+    assert evaluate_cyclic(rates, sched).global_max == diag.realized_max
+
+
 @pytest.mark.parametrize("ratio", [F(1, 4), F(1, 16), F(1, 64), F(1, 256)], ids=str)
 def test_validate_residue_decides_planted_head_schedules(ratio):
     # n > 2048 with hyperperiods beyond 2^20 rounds at 1/64 and 1/256
@@ -532,11 +561,11 @@ def test_evaluate_list_matches_the_reference(rates, data):
     sched = ListSchedule(tuple(preamble), tuple(period), n)
     never_cut = [i for i in range(1, n + 1) if i not in period]
     if never_cut:
-        # such a bamboo grows without bound: no finite report, validated or not
+        # such a bamboo grows without bound: no finite report
         with pytest.raises(ScheduleError, match=re.escape(f"never cuts bamboo(s) {never_cut}")):
-            evaluate_cyclic(rates, sched, validate=False)
+            evaluate_cyclic(rates, sched)
         return
-    _same(evaluate_cyclic(rates, sched, validate=False), _reference_evaluate_list(rates, sched))
+    _same(evaluate_cyclic(rates, sched), _reference_evaluate_list(rates, sched))
 
 
 def test_evaluate_list_with_a_preamble_matches_the_reference():

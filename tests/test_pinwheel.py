@@ -29,12 +29,14 @@ from bgt import (
     gen_planted_head,
     main_algorithm,
     next_cuts_stream,
+    pinwheel_feasible,
+    pinwheel_witness,
     schedule_powers_of_two,
     sqrt_upper,
     two_approx,
     validate_residue,
 )
-from bgt import pinwheel
+from bgt import core, pinwheel
 from bgt.core import integer_weights
 from bgt.pinwheel import (
     Combine,
@@ -72,11 +74,11 @@ def test_allocator_frozen_trace():
     sched = schedule_powers_of_two([2, 4, 8, 8])
     assert sched.pairs == ((1, 2), (2, 4), (4, 8), (8, 8))
     assert list(itertools.islice(next_cuts_stream(sched), 8)) == [1, 2, 1, 3, 1, 2, 1, 4]
-    validate_residue(ResidueSchedule(sched.pairs))  # disjoint without its certificate
+    validate_residue(sched)
 
 
 def test_stream_detects_collisions_behind_a_false_certificate():
-    bad = ResidueSchedule(((1, 2), (1, 2)), certified_disjoint=True)
+    bad = ResidueSchedule(((1, 2), (1, 2)))
     stream = next_cuts_stream(bad)
     next(stream)
     with pytest.raises(ScheduleError):
@@ -213,7 +215,7 @@ def _reference_main_algorithm(rates):
     delta = 3 * sqrt_upper(h[0] / H)
     bound = (1 + delta) * H
     if n == 1:
-        sched = ResidueSchedule(((1, 1),), certified_disjoint=True)
+        sched = ResidueSchedule(((1, 1),))
         diag = MainDiagnostics(delta, bound, F(1), F(1), F(1), 0, 0, 1, 1, 0, 0, h[0])
         return sched, diag
     a_num, a_den = bound.numerator, bound.denominator
@@ -290,7 +292,7 @@ def _reference_main_algorithm(rates):
         if height > realized:
             realized = height
     assert realized <= bound
-    sched = ResidueSchedule(tuple(pairs[1:]), certified_disjoint=True)
+    sched = ResidueSchedule(tuple(pairs[1:]))
     K = (1 << min_layer) // (C * C)
     diag = MainDiagnostics(
         delta, bound, dens2, dens2_bound, final_density, min_layer, max_layer, C, K,
@@ -307,7 +309,7 @@ def _reference_two_approx(rates):
         freqs.append(1 << (w.bit_length() - 1))
     assert _reference_density(freqs) <= 1
     offsets = _allocate_dyadic(freqs)
-    return ResidueSchedule(tuple((a + 1, f) for a, f in zip(offsets, freqs)), certified_disjoint=True)
+    return ResidueSchedule(tuple((a + 1, f) for a, f in zip(offsets, freqs)))
 
 
 def _reference_evaluate_residue(rates, schedule):
@@ -385,8 +387,8 @@ def test_evaluate_residue_matches_the_fraction_reference(data):
     pairs = data.draw(st.lists(
         st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=rates.n, max_size=rates.n
     ))
-    sched = ResidueSchedule(tuple(pairs))
-    new = evaluate_cyclic(rates, sched, validate=False)
+    sched = ResidueSchedule(tuple(pairs))  # colliding pairs included on purpose
+    new = core._evaluate_residue(rates, sched)
     assert repr(new) == repr(_reference_evaluate_residue(rates, sched))
 
 
@@ -440,13 +442,25 @@ def test_two_approx_density_certificate_raises(monkeypatch):
         two_approx(rates)
 
 
+def _run_under_O(body: str, *args: str) -> str:
+    """Run `body` under python -O with bgt importable; return its stdout."""
+    script = "if __debug__:\n    raise SystemExit('expected to run under python -O')\n"
+    script += textwrap.dedent(body)
+    src = str(Path(pinwheel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_certificates_survive_python_O():
-    script = textwrap.dedent(
+    out = _run_under_O(
         """
         from fractions import Fraction
         import bgt, bgt.pinwheel as pw
-        if __debug__:
-            raise SystemExit("expected to run under python -O")
         def push_to_one(forest, layer, group, node):
             node.freq = 1
             forest.powers.append(node)
@@ -457,13 +471,55 @@ def test_certificates_survive_python_O():
             print("raised:", exc)
         """
     )
-    src = str(Path(pinwheel.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    assert out.startswith("raised: final powers-of-two density")
+
+
+def test_density_34_certificate_survives_python_O():
+    out = _run_under_O(
+        """
+        from fractions import Fraction
+        import bgt, bgt.pinwheel as pw
+        pw.density = lambda freqs: Fraction(3, 4)
+        try:
+            bgt.density_34_frequencies(bgt.RateVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]))
+        except bgt.CertificateError as exc:
+            print("raised:", exc)
+        """
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: final powers-of-two density")
+    assert out.startswith("raised: density 3/4 of the 3/4 frequencies")
+
+
+def test_a_shared_residue_is_caught_under_python_O(tmp_path):
+    # the allocator gives every root offset 0, so the schedule main_algorithm
+    # returns has colliding classes; nothing in it vouches otherwise
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"rates": ["1/16", "1/16", "1/16", "1/16", "1/16", "1/16", "1/16", "1/16"]}')
+    out = _run_under_O(
+        """
+        import sys
+        import bgt, bgt.cli, bgt.pinwheel as pw
+        pw._allocate_dyadic = lambda freqs: [0] * len(freqs)
+        rates = bgt.load_instance(open(sys.argv[1]).read())
+        try:
+            bgt.evaluate_cyclic(rates, bgt.main_algorithm(rates)[0])
+        except bgt.ScheduleError as exc:
+            print("raised:", exc)
+        print("exit:", bgt.cli.main(["approx", "main", sys.argv[1]]))
+        """,
+        str(inst),
+    )
+    assert out.startswith("raised: collision: bamboos")
+    assert out.endswith("exit: 1\n")
+
+
+@pytest.mark.parametrize("bad", [2.9, 4.0, True, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "decide", [pinwheel_feasible, pinwheel_witness, schedule_powers_of_two],
+    ids=lambda f: f.__name__,
+)
+def test_frequencies_must_be_ints(decide, bad):
+    with pytest.raises(ValueError, match="frequencies must be ints"):
+        decide([bad, 4, 8])
 
 
 def test_merge_identities_refuse_a_density_change():
