@@ -40,6 +40,7 @@ from .core import (
     evaluate_cyclic,
     frac,
     gen_planted_head,
+    integer_weights,
     load_instance,
     load_schedule,
     next_cuts_stream,
@@ -127,20 +128,26 @@ def _report_doc(
     return doc
 
 
-def _load_rates(path: str) -> RateVector:
+def _load(path: str, kind: type = RateVector):
+    """The instance file at `path`, which must hold a `kind`."""
     with open(path) as fp:
         obj = load_instance(fp)
-    if not isinstance(obj, RateVector):
-        raise InstanceFormatError("travel", "expected a discrete instance (no travel matrix)")
-    return obj
-
-
-def _load_metric(path: str) -> MetricInstance:
-    with open(path) as fp:
-        obj = load_instance(fp)
-    if not isinstance(obj, MetricInstance):
+    if not isinstance(obj, kind):
+        if kind is RateVector:
+            raise InstanceFormatError("travel", "expected a discrete instance (no travel matrix)")
         raise InstanceFormatError("travel", "expected a metric instance (travel matrix missing)")
     return obj
+
+
+def _schedule(rates: RateVector, algo: str, m=None) -> tuple:
+    """(schedule, certified bound, report extras) of one discrete scheduler."""
+    if algo == "two":
+        return two_approx(rates), 2 * rates.H, {}
+    if algo == "main":
+        sched, diag = main_algorithm(rates)
+        return sched, diag.bound, {"delta": diag.delta, "final_density": diag.final_density}
+    sched, cert = eight_fifths(rates, m, oracle_budget=_budget())
+    return sched, cert["global_bound"], {"case": cert["case"], "certificate": cert}
 
 
 def _write_instance(obj, path: str | None) -> None:
@@ -185,7 +192,7 @@ def cmd_simulate(args) -> int:
                 raise InstanceFormatError("x", "--family rf-lb needs --x and --eps")
             rates = gen_reduce_fastest_lb(frac(args.x), frac(args.eps))
     elif args.instance:
-        rates = _load_rates(args.instance)
+        rates = _load(args.instance)
     else:
         raise InstanceFormatError("instance", "give an instance file or --family")
 
@@ -224,40 +231,25 @@ def cmd_simulate(args) -> int:
 
 def _write_trace(rates: RateVector, schedule: list[int], path: str) -> None:
     """Per-round CSV: the cut made and the tallest height just before it."""
-    n = rates.n
-    h = rates.rates
-    ages = [0] * n
+    w, d = integer_weights(rates.rates)
+    last = [0] * rates.n  # round of the latest cut; bamboo i is (r - last[i]) * w[i] / d tall
     with open(path, "w", newline="") as fp:
-        w = csv.writer(fp, lineterminator="\n")
-        w.writerow(["round", "cut", "max_height", "max_height_approx"])
+        out = csv.writer(fp, lineterminator="\n")
+        out.writerow(["round", "cut", "max_height", "max_height_approx"])
         for r, c in enumerate(schedule, start=1):
-            tallest = max((ages[i] + 1) * h[i] for i in range(n))
-            for i in range(n):
-                ages[i] += 1
+            tallest = Fraction(max((r - t) * w_i for t, w_i in zip(last, w)), d)
             if c:
-                ages[c - 1] = 0
-            w.writerow([r, c, _rat(tallest), float(tallest)])
+                last[c - 1] = r
+            out.writerow([r, c, _rat(tallest), float(tallest)])
 
 
 def cmd_approx(args) -> int:
-    rates = _load_rates(args.instance)
+    rates = _load(args.instance)
     if args.algo == "d34":
         freqs = density_34_frequencies(rates)
         _emit({"frequencies": freqs, "density": density(freqs)}, args.report)
         return 0
-    extra: dict = {}
-    if args.algo == "two":
-        sched = two_approx(rates)
-        bound = 2 * rates.H
-    elif args.algo == "main":
-        sched, diag = main_algorithm(rates)
-        bound = diag.bound
-        extra = {"delta": diag.delta, "final_density": diag.final_density}
-    else:
-        m = frac(args.m) if args.m else None
-        sched, cert = eight_fifths(rates, m, oracle_budget=_budget())
-        bound = cert["global_bound"]
-        extra = {"case": cert["case"], "certificate": cert}
+    sched, bound, extra = _schedule(rates, args.algo, frac(args.m) if args.m else None)
     report = evaluate_cyclic(rates, sched)
     oracle_opt = None
     if args.oracle:
@@ -276,7 +268,7 @@ def cmd_approx(args) -> int:
 def cmd_oracle(args) -> int:
     budget = _budget()
     if args.op == "opt":
-        rates = _load_rates(args.instance)
+        rates = _load(args.instance)
         value, witness = optimal_height(rates, state_budget=budget)
         if args.schedule_out:
             with open(args.schedule_out, "w") as fp:
@@ -284,7 +276,7 @@ def cmd_oracle(args) -> int:
         print(_rat(value))
         return 0
     if args.op == "feasible":
-        rates = _load_rates(args.instance)
+        rates = _load(args.instance)
         cap = frac(args.cap)
         _emit({"cap": cap, "feasible": feasible_under_cap(rates, cap, state_budget=budget)})
         return 0
@@ -294,7 +286,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rates = _load_rates(args.instance)
+    rates = _load(args.instance)
     with open(args.schedule) as fp:
         sched = load_schedule(fp)
     report = evaluate_cyclic(rates, sched)
@@ -318,7 +310,7 @@ def cmd_continuous(args) -> int:
             inst = gen_two_cluster(args.n, frac(args.diameter))
         _write_instance(inst, args.out)
         return 0
-    inst = _load_metric(args.instance)
+    inst = _load(args.instance, MetricInstance)
     if args.cop == "lb":
         mst_val, witness = lower_bound_mst(inst)
         diam_val = lower_bound_diameter(inst)
@@ -367,15 +359,7 @@ def cmd_bench(args) -> int:
         s = args.seed * 1_000_003 + idx
         n = random.Random(s).randint(n_min, args.n_max)
         rates = gen_planted_head(n, ratio, s + 1)
-        if args.algo == "two":
-            sched = two_approx(rates)
-            bound = 2 * rates.H
-        elif args.algo == "main":
-            sched, diag = main_algorithm(rates)
-            bound = diag.bound
-        else:
-            sched, cert = eight_fifths(rates, oracle_budget=budget)
-            bound = cert["global_bound"]
+        sched, bound, _ = _schedule(rates, args.algo)
         report = evaluate_cyclic(rates, sched)
         opt = ratio_opt = ""
         if args.oracle_max_n and n <= args.oracle_max_n:

@@ -191,7 +191,10 @@ def mst(vertices: Sequence[int], travel) -> tuple[list[tuple[int, int]], Fractio
     candidate edges the one with the smaller tree endpoint, then smaller
     outside endpoint, wins.
     """
-    verts = sorted({int(v) for v in vertices})
+    for v in vertices:
+        if type(v) is not int or not 1 <= v <= len(travel):  # bools refused, nothing truncated
+            raise ValueError(f"vertex {v!r} must be an int in 1..{len(travel)}")
+    verts = sorted(set(vertices))
     if not verts:
         raise ValueError("need at least one point")
     m, scale = _scaled([[travel[a - 1][b - 1] for b in verts] for a in verts])
@@ -588,7 +591,7 @@ def gen_spiral(n: int) -> MetricInstance:
     for i in range(g, 0, -1):
         rates.extend([(3 - eps) * 2**i / (n * log_n)] * (n // 2**i))
     rates.extend([Fraction(1, 16**g)] * (4**g))
-    assert len(rates) == n and sum(rates) == 1
+    assert len(rates) == n and sum(rates) == 1, "eps makes the groups and filler sum to 1"
     return MetricInstance(rates=RateVector(rates), travel=travel, start=1)
 
 
@@ -623,7 +626,7 @@ def gen_two_cluster(n: int, diameter) -> MetricInstance:
     if pad:
         residual = Fraction(1, 2) - sum(ladder)
         cluster.extend([residual / pad] * pad)
-    assert sum(cluster) == Fraction(1, 2) and len(cluster) == half
+    assert sum(cluster) == Fraction(1, 2) and len(cluster) == half, "padding fills each half"
     rates: list[Fraction] = []
     membership: list[int] = []
     for rate in cluster:
@@ -668,17 +671,18 @@ def two_cluster_sweep(instance: MetricInstance, cycles: int = 3) -> list[tuple[i
     return walk
 
 
-def gen_random_metric(n: int, seed: int, *, denominator: int = 1 << 20) -> MetricInstance:
-    """Random valid metric: distances in [1/2, 1] (triangle-safe), random
-    integer-weight rates normalized to 1, start at the fastest point."""
+def gen_random_metric(n: int, seed: int) -> MetricInstance:
+    """Random valid metric: distances in [1/2, 1] (triangle-safe) over the
+    denominator 2^20, random integer-weight rates normalized to 1, start at
+    the fastest point."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
-    half = denominator // 2
+    den = 1 << 20
     travel = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = Fraction(rng.randint(half, denominator), denominator)
+            d = Fraction(rng.randint(den // 2, den), den)
             travel[i][j] = d
             travel[j][i] = d
     weights = sorted((rng.randint(1, 1 << 16) for _ in range(n)), reverse=True)

@@ -73,15 +73,15 @@ def diverging_bamboo(rates: RateVector, schedule: Sequence[int]) -> int | None:
     still growing (it was not cut since), or None.  Used to certify the
     "grows to infinity" behaviour of Reduce-Fastest with x < 1.
     """
-    n = rates.n
-    last = [0] * (n + 1)
+    last = [0] * (rates.n + 1)
     for r, c in enumerate(schedule, start=1):
         if c:
             last[c] = r
     horizon = len(schedule)
-    bound = 4 * rates.H
-    for i in range(1, n + 1):
-        if (horizon - last[i]) * rates.rate(i) > bound:
+    w, _ = integer_weights(rates.rates)
+    bound = 4 * sum(w)  # 4H over the common denominator
+    for i, w_i in enumerate(w, start=1):
+        if (horizon - last[i]) * w_i > bound:
             return i
     return None
 

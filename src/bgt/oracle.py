@@ -65,13 +65,6 @@ def _runs(limits: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _density(limits: Sequence[int]) -> Fraction | None:
-    """Sum of 1/A_i over sorted limits, or None if some limit is below 1."""
-    if limits[0] < 1:
-        return None
-    return density(limits)
-
-
 def _build_graph(limits: Sequence[int], state_budget: int):
     """Reachable reduced configuration graph under sorted grown-age limits.
 
@@ -136,17 +129,11 @@ def _peel(succs: list[list[int]]) -> list[bool]:
 
 def _search(limits: Sequence[int], state_budget: int):
     """(succs, killed) of the peeled reduced graph for sorted limits, or None
-    when the density already refutes them."""
-    density = _density(limits)
-    if density is None or density > 1:
+    when a limit below 1 or the density already refutes them."""
+    if limits[0] < 1 or density(limits) > 1:
         return None
     _, succs = _build_graph(limits, state_budget)
     return succs, _peel(succs)
-
-
-def _ages_feasible(limits: Sequence[int], state_budget: int) -> bool:
-    solved = _search(sorted(limits), state_budget)
-    return solved is not None and not solved[1][0]
 
 
 def _walk(limits: Sequence[int], solved):
@@ -186,11 +173,6 @@ def _walk(limits: Sequence[int], solved):
         seen[cur, ages] = len(seq)
 
 
-def _ages_witness(limits: Sequence[int], state_budget: int):
-    """(preamble, period) witness for the limits, or None if infeasible."""
-    return _walk(limits, _search(sorted(limits), state_budget))
-
-
 def _limits_for_cap(rates: RateVector, cap: Fraction) -> list[int]:
     # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i); non-decreasing in i
     return [(cap / h).numerator // (cap / h).denominator for h in rates.rates]
@@ -203,7 +185,8 @@ def feasible_under_cap(
     cap = frac(cap)
     if cap <= 0:
         return False
-    return _ages_feasible(_limits_for_cap(rates, cap), state_budget)
+    solved = _search(_limits_for_cap(rates, cap), state_budget)
+    return solved is not None and not solved[1][0]
 
 
 def opt_candidates(rates: RateVector) -> list[Fraction]:
@@ -244,10 +227,9 @@ def optimal_height(
     while lo < hi:
         mid = (lo + hi) // 2
         limits = _limits_for_cap(rates, cands[mid])
-        density = _density(limits)
-        if density is None or density > 1:
+        if limits[0] < 1 or (dens := density(limits)) > 1:
             lo = mid + 1
-        elif density <= _KAWAMURA_DENSITY:
+        elif dens <= _KAWAMURA_DENSITY:
             hi = mid
         else:
             solved = _search(limits, state_budget)
@@ -274,7 +256,8 @@ def pinwheel_feasible(
     Equivalent to feasible_under_cap on rates (1/f_1, ..., 1/f_n) with cap 1,
     run directly on integer ages.  Frequency 1 means "every slot".
     """
-    return _ages_feasible(_int_frequencies(freqs), state_budget)
+    solved = _search(sorted(_int_frequencies(freqs)), state_budget)
+    return solved is not None and not solved[1][0]
 
 
 def pinwheel_witness(
@@ -283,4 +266,5 @@ def pinwheel_witness(
     """(preamble, period) witness slot assignment for a feasible Pinwheel
     instance, or None if infeasible.  The witness never idles: cutting
     something is always at least as good."""
-    return _ages_witness(_int_frequencies(freqs), state_budget)
+    freqs = _int_frequencies(freqs)
+    return _walk(freqs, _search(sorted(freqs), state_budget))

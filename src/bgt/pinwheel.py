@@ -121,11 +121,6 @@ class FrequencyForest:
     def grid_freq(self, k: int, j: int) -> int:
         return (1 << k) + (j << (k - self.q))
 
-    def density(self) -> Fraction:
-        """Sum of 1/freq over every node, grouped by frequency."""
-        freqs = [nd.freq for nodes in self.buckets.values() for nd in nodes]
-        return density(freqs + [nd.freq for nd in self.powers])
-
 
 def observation1_merge(forest: FrequencyForest, layer: int, group: int) -> None:
     """Pair equal frequencies 2f two by two into nodes of frequency f.
@@ -166,7 +161,7 @@ def observation2_merge(forest: FrequencyForest, layer: int, group: int) -> None:
         have = len(nodes) if nodes else 0
         raise ValueError(f"layer {layer} group {group}: need {m} equal entries, have {have}")
     f = forest.grid_freq(layer, group)
-    assert all(nd.freq == f for nd in nodes)
+    assert all(nd.freq == f for nd in nodes), "bucketed node with inconsistent frequency"
     # m copies of 1/f sum to exactly 1/f' iff m * f' == f
     fm = f // m
     assert fm * m == f and fm == 1 << (forest.min_layer - forest.q)
@@ -308,12 +303,13 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             Q = b * w_i
             k = (P // Q).bit_length() - 1
             j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
-            assert 0 <= j < C and k >= min_layer
+            assert 0 <= j < C and k >= min_layer, "2^k <= f''_i < 2^(k+1), f''_i >= f''_1"
             f = (1 << k) + (j << (k - q))
             bucket = forest.powers if j == 0 else forest.buckets.setdefault((k, j), [])
         bucket.append(Leaf(idx, f))
 
-    dens2 = forest.density()
+    groups = [*forest.buckets.values(), forest.powers]
+    dens2 = density([nd.freq for group in groups for nd in group])
     dens2_bound = (1 + Fraction(1, C)) / (1 + delta)
     if dens2 > dens2_bound:
         raise CertificateError(
@@ -353,7 +349,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             _push_down(forest, min_layer, j, nodes.pop(0))
 
     assert not any(forest.buckets.values()), "grid must be empty after push-downs"
-    final_density = forest.density()
+    final_density = density([nd.freq for nd in forest.powers])  # the grid is empty
     if final_density > 1:
         raise CertificateError(f"final powers-of-two density {final_density} exceeds 1")
 
@@ -373,7 +369,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             stack.extend(
                 (ch, a + t * m, mm) for t, ch in enumerate(nd.children)
             )
-    assert all(pq is not None for pq in pairs[1:])
+    assert all(pq is not None for pq in pairs[1:]), "every bamboo is a leaf of one tree"
 
     # Integer heights w_i * t are at most bound * D exactly when they are at
     # most cap = floor(P / b).
@@ -394,7 +390,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
 
     sched = ResidueSchedule(tuple(pairs[1:]))
     K = (1 << min_layer) // (C * C)
-    assert K in (1, 2)
+    assert K in (1, 2), "min_layer = 2q or 2q + 1, so 2^min / C^2 is 1 or 2"
     diag = MainDiagnostics(
         delta, bound, dens2, dens2_bound, final_density,
         min_layer, max_layer, C, K,
@@ -440,32 +436,28 @@ def density_34_frequencies(rates: RateVector) -> list[int]:
     return freqs
 
 
-def gen_integer_frequencies(
-    f1: int, seed: int, *, n: int | None = None, spread: int = 1000
-) -> list[int]:
+def gen_integer_frequencies(f1: int, seed: int) -> list[int]:
     """Random integer request periods with smallest period f1 and density
     safely below the Main Algorithm feasibility margin 1 - 3/sqrt(f1).
 
-    Draws n-1 periods log-uniformly in [f1, f1*spread]; if their combined
-    density overshoots the budget, all draws are scaled up by one common
-    integer factor (keeps them integral and >= f1).
+    Draws n between 8 and 512 log-uniformly, then n-1 periods
+    log-uniformly in [f1, 1000*f1]; if their combined density overshoots
+    the budget, all draws are scaled up by one common integer factor (keeps
+    them integral and >= f1).
     """
     if f1 < 16:
         raise ValueError(f"f1 must be >= 16 (need 3/sqrt(f1) < 1 with room), got {f1}")
     rng = random.Random(seed)
-    if n is None:
-        n = int(math.exp(rng.uniform(math.log(8), math.log(512))))
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = int(math.exp(rng.uniform(math.log(8), math.log(512))))
     target = 1 - sqrt_upper(Fraction(9, f1))
     room = target - Fraction(1, f1)
-    lo, hi = math.log(f1), math.log(f1 * spread)
+    lo, hi = math.log(f1), math.log(f1 * 1000)
     draws = [int(math.exp(rng.uniform(lo, hi))) for _ in range(n - 1)]
-    dens = sum((Fraction(1, f) for f in draws), Fraction(0))
+    dens = density(draws)
     if dens > room:
         ratio = dens / room
         c = -(-ratio.numerator // ratio.denominator)
         draws = [f * c for f in draws]
     freqs = sorted([f1] + draws)
-    assert density(freqs) <= target
+    assert density(freqs) <= target, "scaling by c keeps the draws' density within room"
     return freqs

@@ -181,6 +181,14 @@ def test_huge_denominators_take_the_python_int_path():
     assert inst.diameter == max(max(row) for row in inst.travel)
 
 
+@pytest.mark.parametrize("vertices", [[1, 2.9, 3], [True, 2], [1, "2"], [0, 1], [1, 4]], ids=repr)
+def test_mst_refuses_vertices_that_are_not_point_indices(vertices):
+    # nothing is truncated, a bool is not point 1, and 0 does not wrap around
+    travel = ((F(0), F(1), F(2)), (F(1), F(0), F(2)), (F(2), F(2), F(0)))
+    with pytest.raises(ValueError, match="must be an int in 1..3"):
+        mst(vertices, travel)
+
+
 def test_mst_weight_and_edges():
     travel = ((F(0), F(1), F(2)), (F(1), F(0), F(2)), (F(2), F(2), F(0)))
     edges, weight = mst([1, 2, 3], travel)

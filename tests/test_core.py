@@ -1,8 +1,11 @@
 """Types, validation, and the exact simulation engines."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd, lcm
@@ -11,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bgt
 from bgt import (
     InstanceFormatError,
     ListSchedule,
+    MetricInstance,
     RateVector,
     ResidueSchedule,
     ScheduleError,
@@ -602,6 +607,78 @@ def test_simulate_walk_matches_the_reference(seed):
                 simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
                 _reference_simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
             )
+
+
+def _huge_denominator_metric(n, seed):
+    """Distances near 1/2 over the primes 2^61 - 1 and 2^31 - 1: their lcm
+    exceeds 2^61, so the instance keeps its travel ticks as Python ints."""
+    rng = random.Random(seed)
+    values = [F(p // 2 + 7 * k, p) for p in ((1 << 61) - 1, (1 << 31) - 1) for k in range(3)]
+    travel = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            travel[i][j] = travel[j][i] = rng.choice(values)
+    travel[0][1] = travel[1][0] = values[0]  # both primes occur
+    travel[1][2] = travel[2][1] = values[3]
+    rates = sorted((rng.randint(1, 9) for _ in range(n)), reverse=True)
+    return MetricInstance.normalized(rates, tuple(map(tuple, travel)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_simulate_walk_matches_the_reference_on_huge_denominators(seed):
+    rng = random.Random(seed)
+    inst = _huge_denominator_metric(rng.randint(3, 7), seed)
+    assert inst._ticks.dtype == object
+    for strict in (True, False):
+        walk = _random_walk(inst, rng, rng.randint(1, 40), strict)
+        end = walk[-1][1]
+        # 1009 is a prime the scale lacks, so the replay's ticks must take it in
+        for steady_after in (F(0), end / 2 + F(1, 1009), end):
+            _same(
+                simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
+                _reference_simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
+            )
+
+
+@pytest.mark.parametrize("bad", [2.9, F(2), "2", True], ids=repr)
+def test_simulate_walk_refuses_points_that_are_not_ints(bad):
+    # a point is an index: nothing is truncated, and a bool is not bamboo 1
+    inst = gen_random_metric(4, 7)
+    d12, d21 = inst.travel[0][1], inst.travel[1][0]
+    assert simulate_walk(inst, [(2, d12), (1, d12 + d21)], strict=True)
+    walk = [(2, d12), (True, d12 + d21)] if bad is True else [(bad, d12), (1, d12 + d21)]
+    with pytest.raises(ScheduleError, match="is not an int"):
+        simulate_walk(inst, walk, strict=True)
+
+
+def test_simulate_walk_refuses_inexact_times():
+    # the replay counts integer ticks, so a float time or cut-off has no tick
+    inst = gen_random_metric(4, 7)
+    d12 = inst.travel[0][1]
+    with pytest.raises(TypeError, match="inexact"):
+        simulate_walk(inst, [(2, float(d12))])
+    with pytest.raises(TypeError, match="inexact"):
+        simulate_walk(inst, [(2, d12)], steady_after=0.5)
+
+
+def test_a_steady_gap_above_the_largest_is_refused_under_python_O():
+    # no report path reaches this raise: a steady gap never outgrows its
+    # bamboo's largest; the builder checks it anyway, also without asserts
+    script = """if __debug__:
+    raise SystemExit("expected to run under python -O")
+from bgt import CertificateError, core
+try:
+    core._report([2, 1], 3, [4, 4], [4, 9], lambda i: 0, None)
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bgt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: steady-state max 3 above global max 8/3\n"
 
 
 def test_simulate_walk_rejects_each_bad_leg_like_the_reference():
