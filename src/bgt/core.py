@@ -9,7 +9,13 @@ build a `Fraction` only for a value they report.  Every report comes from
 one builder, `_report`, fed integer gaps: rounds for discrete replays and
 schedules, ticks over one common denominator for walks.  Cyclic schedules
 come in two forms, residue pairs and (preamble, period) lists;
-`next_cuts_stream` unrolls either form round by round.  `evaluate_cyclic`
+`next_cuts_stream` unrolls either form round by round.  A residue
+schedule streams its first 256 rounds in a block; after that it repeats
+one table of its hyperperiod when that is at most 2^20 rounds, every
+offset is at most its period and no two bamboos share a round.  Any other
+residue schedule (a clash, an offset past its period, a longer
+hyperperiod) goes on in blocks of 256 rounds, with the same rounds and the
+same ScheduleError in the same round.  `evaluate_cyclic`
 checks every residue schedule with `validate_residue` (exact, period group
 by period group, for any hyperperiod); its list path scans a preamble + 2
 periods window.
@@ -30,7 +36,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, cycle
+from itertools import chain, count, cycle, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -176,25 +182,84 @@ class ListSchedule:
 CyclicSchedule = ResidueSchedule | ListSchedule
 
 
-def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
-    """Yield a cyclic schedule round by round (0 = idle), forever.
+_TABLE_CAP = 1 << 20  # longest hyperperiod kept as a table: an 8 MB list
+_BLOCK = 256  # rounds `_block_stream` fills ahead
 
-    The one schedule-expansion primitive.  A residue schedule is filled in
-    blocks of w rounds from the bamboos due in each, O(1) per round on
-    average, and raises ScheduleError in the round after two bamboos
-    collide; a list schedule yields its preamble, then its period over and
-    over.  The stream is single-consumer.
+
+def _hyperperiod_table(pairs: Sequence[tuple[int, int]], after: int) -> list[int] | None:
+    """One hyperperiod L = lcm(q_i) of a residue schedule from round
+    after + 1 on, round r's cut at index (r - 1 - after) mod L; None when
+    some offset exceeds its period, L exceeds _TABLE_CAP, or two bamboos
+    share a round.
+
+    A bamboo fills its L // q slots with one extended-slice assignment of a
+    list that repeats one int object.  The fill is clash-free exactly when
+    it leaves L - sum(L // q_i) slots idle; more cuts than rounds is a clash
+    known before filling.
+    """
+    if any(p > q for p, q in pairs):  # the first cut is not in the first period
+        return None
+    hyper = 1
+    for q in {q for _, q in pairs}:
+        hyper = lcm(hyper, q)
+        if hyper > _TABLE_CAP:
+            return None
+    cuts = sum(hyper // q for _, q in pairs)
+    if cuts > hyper:
+        return None
+    table = [0] * hyper
+    for i, (p, q) in enumerate(pairs, start=1):
+        table[(p - 1 - after) % q :: q] = [i] * (hyper // q)
+    return table if table.count(0) == hyper - cuts else None
+
+
+def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
+    """Stream a cyclic schedule round by round (0 = idle), forever.
+
+    The one schedule-expansion primitive.  A residue schedule yields its
+    first block of rounds from `_block_stream`, so a short prefix never
+    waits for a table.  Then, when its hyperperiod L = lcm(q_i) is at most
+    2^20 rounds, every offset is at most its period and no two bamboos share
+    a round, it is filled once into an L-round table (O(L + n)), which
+    repeats from there on.  Any other residue schedule (a clash found while
+    filling, an offset past its period, a longer L) goes on in blocks, so it
+    yields the same rounds and raises the same ScheduleError in the same
+    round.  A list schedule yields its preamble, then its period over and
+    over.  Both are chained at C speed, with no Python frame per round.
+    The stream is single-consumer.
     """
     if isinstance(schedule, ListSchedule):
-        yield from schedule.preamble
-        yield from cycle(schedule.period)  # never returns
-    w, period = 256, [0] + [q for _, q in schedule.pairs]  # w: rounds filled ahead
-    nxt = [0] + [p for p, _ in schedule.pairs]  # each bamboo's next cut
+        return chain(schedule.preamble, cycle(schedule.period))
+    return chain.from_iterable(_residue_pieces(schedule.pairs))
+
+
+def _residue_pieces(pairs: Sequence[tuple[int, int]]) -> Iterator[Iterable[int]]:
+    """A residue schedule's stream in consecutive pieces: its first block,
+    then its hyperperiod table over and over or else the rest of its blocks."""
+    blocks = _block_stream(pairs)
+    yield islice(blocks, _BLOCK)
+    table = _hyperperiod_table(pairs, _BLOCK)
+    if table is None:
+        yield blocks
+        return
+    blocks.close()  # frees its calendar, which the table replaces
+    yield from repeat(table)  # not itertools.cycle, which keeps a second copy
+
+
+def _block_stream(pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """A residue schedule filled in blocks of _BLOCK rounds from the bamboos
+    due in each, O(1) per round on average; raises ScheduleError in the
+    round after two bamboos collide."""
+    w, period = _BLOCK, [0] + [q for _, q in pairs]
+    nxt = [0] + [p for p, _ in pairs]  # each bamboo's next cut
     due = defaultdict(list)  # block -> the bamboos cut in it
-    for i in range(1, len(nxt)):
-        due[(nxt[i] - 1) // w].append(i)
+    due[0] = [i for i, p in enumerate(nxt) if 0 < p <= w]
     clash = 0  # first round two bamboos share; 0 = none seen yet
     for b in count():
+        if b == 1:  # the rest join after the first block, so a short prefix skips this
+            for i, (p, _) in enumerate(pairs, start=1):
+                if p > w:
+                    due[(p - 1) // w].append(i)
         base, out = b * w + 1, [0] * w  # out[s] is cut in round base + s
         for i in due.pop(b, ()):
             q = period[i]
@@ -355,7 +420,10 @@ def simulate_discrete(
     if not schedule:
         raise ValueError("schedule must be nonempty")
     n = rates.n
-    cuts = list(map(int, schedule))
+    cuts = list(schedule)
+    if set(map(type, cuts)) != {int}:  # nothing is truncated, and bools are refused
+        r, c = next((r, c) for r, c in enumerate(cuts, start=1) if type(c) is not int)
+        raise ScheduleError(f"cut index {c!r} at round {r} is not an int")
     if min(cuts) < 0 or max(cuts) > n:
         r, c = next((r, c) for r, c in enumerate(cuts, start=1) if not 0 <= c <= n)
         raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")

@@ -23,6 +23,7 @@ from bgt import (
     ResidueSchedule,
     ScheduleError,
     SimulationReport,
+    core,
     evaluate_cyclic,
     frac,
     gen_planted_head,
@@ -213,6 +214,16 @@ def test_simulate_discrete_never_cut_counts_full_window():
     assert rep.per_bamboo_max[1] == 1
 
 
+@pytest.mark.parametrize("bad", [2.9, F(2), "2", True], ids=repr)
+def test_simulate_discrete_refuses_cuts_that_are_not_ints(bad):
+    # a cut is an index: nothing is truncated, and a bool is not bamboo 1
+    rates = RateVector([F(1, 2), F(1, 2)])
+    assert simulate_discrete(rates, [1, 2, 1, 2])
+    msg = f"cut index {bad!r} at round 2 is not an int"
+    with pytest.raises(ScheduleError, match=re.escape(msg)):
+        simulate_discrete(rates, [1, bad, True, 2])
+
+
 _RATE = st.integers(min_value=1, max_value=12).map(lambda k: F(1, k))
 
 
@@ -276,18 +287,56 @@ def _reference_stream(pairs, rounds):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_residue_schedules(), st.sampled_from([1, 7, 40]))
-@example(((256, 300), (256, 512)), 1)  # clash in the last round of a block
-@example(((1, 256), (257, 512)), 1)  # clash in the first round of the next
-def test_next_cuts_stream_matches_the_reference(pairs, k):
+@given(_residue_schedules(), st.sampled_from([1, 7, 40]), st.booleans())
+@example(((256, 300), (256, 512)), 1, False)  # clash in the last round of a block
+@example(((1, 256), (257, 512)), 1, False)  # clash in the first round of the next
+@example(((1, 2), (2, 4), (4, 8), (8, 8)), 40, False)  # table, 3.75 hyperperiods of 320
+@example(((1, 2), (2, 4), (4, 8), (8, 8)), 40, True)  # the same just above the table cap
+@example(((1, 3), (2, 6)), 7, False)  # the table starts 256 % 42 = 4 rounds into a hyperperiod
+@example(((3, 2), (2, 4)), 1, False)  # an offset above its period
+@example(((1, 2), (259, 512)), 1, False)  # a clash after the first block, found by the fill
+@example(((1, 2), (2, 2), (300, 512)), 1, False)  # more cuts than rounds: no fill
+def test_next_cuts_stream_matches_the_reference(pairs, k, above_cap):
     # scaling offsets and periods by k moves every clash to k times its round
     pairs = tuple((k * p, k * q) for p, q in pairs)
     want, clash = _reference_stream(pairs, 1200)
-    stream = next_cuts_stream(ResidueSchedule(pairs))
-    assert list(islice(stream, len(want))) == want
+    with pytest.MonkeyPatch.context() as mp:
+        if above_cap:  # the table would be filled after the first block
+            mp.setattr(core, "_TABLE_CAP", lcm(*(q for _, q in pairs)) - 1)
+        stream = next_cuts_stream(ResidueSchedule(pairs))
+        assert list(islice(stream, len(want))) == want
     if clash is not None:
         with pytest.raises(ScheduleError, match=f"round {clash}: residue collision"):
             next(stream)
+
+
+@pytest.mark.parametrize(
+    "pairs, after, cap, table",
+    [
+        (((1, 2), (2, 4), (4, 8)), 0, None, [1, 2, 1, 3, 1, 2, 1, 0]),
+        (((1, 2), (2, 4), (4, 8)), 3, None, [3, 1, 2, 1, 0, 1, 2, 1]),  # from round 4 on
+        (((1, 2), (2, 4), (4, 8)), 0, 7, None),  # hyperperiod 8 above the cap
+        (((3, 2), (2, 4)), 0, None, None),  # an offset above its period
+        (((1, 2), (259, 512)), 256, None, None),  # a clash found while filling
+        (((1, 2), (2, 2), (300, 512)), 256, None, None),  # more cuts than rounds
+    ],
+)
+def test_hyperperiod_table_only_where_it_applies(monkeypatch, pairs, after, cap, table):
+    # the differential above cannot tell the paths apart; this pins which runs
+    if cap is not None:
+        monkeypatch.setattr(core, "_TABLE_CAP", cap)
+    assert core._hyperperiod_table(pairs, after) == table
+
+
+def test_a_short_prefix_does_not_fill_the_table(monkeypatch):
+    # the first block streams before the table is built: a 64-round prefix never pays for it
+    def refuse(pairs, after):
+        raise AssertionError("table built for a short prefix")
+
+    monkeypatch.setattr(core, "_hyperperiod_table", refuse)
+    pairs = ((1, 2), (2, 4), (4, 8))
+    want, _ = _reference_stream(pairs, 256)
+    assert list(islice(next_cuts_stream(ResidueSchedule(pairs)), 256)) == want
 
 
 def test_evaluate_list_matches_long_simulation():
