@@ -12,11 +12,12 @@ patrol strategies trade generality for height guarantees:
   sweeping the negligible-rate points (V_0) one per outer iteration
   (class gap <= (3s+1)(D + 2*MST(V_i)), V_0 gap <= (3Ds+D)*|V_0|).
 
-Travel times are exact rationals.  Each instance also holds them once as
-integers over their common denominator (int64 when they fit, Python ints
-otherwise); validation, the one Prim MST kernel behind tours and
-certificates, and the MST lower bound, which is incremental over rate
-prefixes, all run on that integer matrix.  Walks and reports stay Fractions.
+Travel times are exact rationals, held once as integer ticks over their
+common denominator (int64 when they fit, Python ints otherwise).
+Validation, the one Prim MST kernel behind tours and certificates, the MST
+lower bound (incremental over rate prefixes) and the walk builders all run
+on that integer matrix; Fractions are built only at the edge: the cached
+`travel` view, walk times, bounds and reports.
 
 Also here: Euler tours, the diameter and MST lower bounds, the
 discrete-to-continuous reduction, and the adversarial instance generators
@@ -29,6 +30,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -41,21 +44,32 @@ _INT64_LIMIT = 1 << 61  # headroom so a sum of two scaled entries cannot overflo
 
 
 def _scaled(rows) -> tuple[np.ndarray, int]:
-    """A square matrix of rationals as integers over their common denominator.
-
-    Returns (m, scale) with rows[i][j] == m[i, j] / scale.  m is int64 when
-    every entry fits within 2^61 in absolute value, so the sum of two entries
-    cannot overflow; otherwise it holds Python ints (dtype object), on which
-    the same numpy expressions run exactly.
-    """
+    """A square matrix of rationals (Fractions or ints) as integers over their
+    common denominator: (m, scale) with rows[i][j] == m[i, j] / scale, held
+    as `_reduced` holds it."""
     dens = {x.denominator for row in rows for x in row}
     scale = lcm(*dens)
     mult = {d: scale // d for d in dens}
     ints = [[x.numerator * mult[x.denominator] for x in row] for row in rows]
-    fits = scale <= _INT64_LIMIT and all(
-        -_INT64_LIMIT <= min(row) and max(row) <= _INT64_LIMIT for row in ints
-    )
-    return np.array(ints, dtype=np.int64 if fits else object), scale
+    try:
+        return _reduced(np.array(ints, dtype=np.int64), scale)
+    except OverflowError:
+        return _reduced(np.array(ints, dtype=object), scale)
+
+
+def _reduced(m: np.ndarray, scale: int) -> tuple[np.ndarray, int]:
+    """An integer matrix over `scale`, both divided by their common gcd.
+
+    m is held as int64 when the scale and every entry fit within 2^61 in
+    absolute value, so the sum of two entries cannot overflow; otherwise as
+    Python ints (dtype object), on which the same numpy expressions run
+    exactly.
+    """
+    g = math.gcd(scale, int(np.gcd.reduce(m, axis=None)))
+    if g > 1:
+        m, scale = m // g, scale // g
+    fits = scale <= _INT64_LIMIT and -_INT64_LIMIT <= m.min() and m.max() <= _INT64_LIMIT
+    return m.astype(np.int64 if fits else object, copy=False), scale
 
 
 def _check_travel(m: np.ndarray) -> None:
@@ -91,36 +105,59 @@ def _check_travel(m: np.ndarray) -> None:
 class MetricInstance:
     """n points, exact pairwise travel times, rates summing to 1 (start = b_1).
 
-    `travel` stays a matrix of Fractions; validation and every MST run on
-    its integer form over the common denominator, built once here.
+    Travel times are held once, as integer ticks over their common
+    denominator (`_ticks` over `_scale`, reduced); `travel` is a read-only
+    view of them as Fractions, built on first use and cached.  Equality is
+    by value.
     """
 
     rates: RateVector
-    travel: tuple[tuple[Fraction, ...], ...]
-    start: int = 1
+    start: int
 
-    def __post_init__(self):
-        if not isinstance(self.rates, RateVector):
-            object.__setattr__(self, "rates", RateVector(list(self.rates)))
-        n = self.rates.n
+    def __init__(self, rates, travel, start: int = 1):
+        self._setup(rates, travel, None, start)
+
+    @classmethod
+    def _from_ticks(cls, rates, ticks: np.ndarray, scale: int, start: int = 1) -> "MetricInstance":
+        """Travel times ticks[i, j] / scale, checked as the constructor checks rationals."""
+        inst = cls.__new__(cls)
+        inst._setup(rates, ticks, scale, start)
+        return inst
+
+    def _setup(self, rates, travel, scale: int | None, start: int) -> None:
+        """`travel` is rational rows when `scale` is None, else integer ticks."""
+        if not isinstance(rates, RateVector):
+            rates = RateVector(list(rates))
+        n = rates.n
         if n < 2:
             raise InstanceFormatError("rates", "a metric instance needs at least 2 points")
-        if self.rates.H != 1:
+        if rates.H != 1:
             raise InstanceFormatError(
-                "rates",
-                f"rates must sum to 1 (got {self.rates.H}); use MetricInstance.normalized",
+                "rates", f"rates must sum to 1 (got {rates.H}); use MetricInstance.normalized"
             )
-        travel = tuple(tuple(frac(x) for x in row) for row in self.travel)
-        object.__setattr__(self, "travel", travel)
         if len(travel) != n or any(len(row) != n for row in travel):
             raise InstanceFormatError("travel", f"must be an {n}x{n} matrix (one row per rate)")
-        ticks, scale = _scaled(travel)
+        if scale is None:  # ints and Fractions scale as they are; frac parses the rest
+            rows = [[x if isinstance(x, (int, Fraction)) else frac(x) for x in r] for r in travel]
+            ticks, scale = _scaled(rows)
+        else:
+            ticks, scale = _reduced(travel, scale)
         _check_travel(ticks)
-        if not isinstance(self.start, int) or not 1 <= self.start <= n:
+        if type(start) is not int or not 1 <= start <= n:  # bools refused
             raise InstanceFormatError("start", f"start must be a point index in 1..{n}")
-        object.__setattr__(self, "_ticks", ticks)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_diameter", Fraction(int(ticks.max()), scale))
+        vars(self).update(rates=rates, start=start, _ticks=ticks, _scale=scale)
+
+    @cached_property
+    def travel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The travel times as Fractions, one Fraction per distinct value."""
+        of = {x: Fraction(x, self._scale) for x in np.unique(self._ticks).tolist()}
+        return tuple(tuple(map(of.__getitem__, row)) for row in self._ticks.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricInstance):
+            return NotImplemented
+        same = (self.rates, self.start, self._scale) == (other.rates, other.start, other._scale)
+        return same and np.array_equal(self._ticks, other._ticks)
 
     @property
     def n(self) -> int:
@@ -128,7 +165,7 @@ class MetricInstance:
 
     @property
     def diameter(self) -> Fraction:
-        return self._diameter
+        return Fraction(int(self._ticks.max()), self._scale)
 
     @classmethod
     def normalized(cls, rates, travel, start: int = 1) -> "MetricInstance":
@@ -244,7 +281,6 @@ def euler_tour(edges: Sequence[tuple[int, int]], root: int) -> list[int]:
 class ClassTour:
     """One rate class's patrol state: its MST's cyclic Euler tour and cursor."""
 
-    members: tuple[int, ...]
     tour: tuple[int, ...]  # cyclic vertex sequence; the closing edge wraps around
     cursor: int            # tour index of the last visited position
 
@@ -261,14 +297,24 @@ class TourState:
 def _class_tour(instance: MetricInstance, members: Sequence[int]) -> ClassTour:
     members = sorted(members)
     edges, _ = _tree(instance, members)
-    if len(members) == 1:
-        tour: tuple[int, ...] = (members[0],)
-    else:
-        closed = euler_tour(edges, members[0])
-        tour = tuple(closed[:-1])
-    srow = instance.travel[instance.start - 1]
+    tour = tuple(euler_tour(edges, members[0])[:-1]) if len(members) > 1 else (members[0],)
+    srow = instance._ticks[instance.start - 1].tolist()
     cursor = min(range(len(tour)), key=lambda k: (srow[tour[k] - 1], k))
-    return ClassTour(tuple(members), tour, cursor)
+    return ClassTour(tour, cursor)
+
+
+def _horizon_ticks(instance: MetricInstance, horizon_time) -> int:
+    """ceil(horizon * scale): a walk time of t ticks is before the horizon
+    exactly when t is below this."""
+    horizon = frac(horizon_time)
+    if horizon <= 0:
+        raise ValueError("horizon_time must be positive")
+    return -(-horizon.numerator * instance._scale // horizon.denominator)
+
+
+def _timed(walk, scale: int) -> list[tuple[int, Fraction]]:
+    """(point, time in ticks) legs as (point, exact arrival time)."""
+    return [(v, Fraction(t, scale)) for v, t in walk]
 
 
 def _patrol(
@@ -284,42 +330,37 @@ def _patrol(
     until the distance covered inside the class reaches the diameter D,
     stopping at the vertex where that happens; single-point classes are
     simply visited.  Runs until the walk time reaches `horizon` or for
-    exactly `cycles` outer iterations.
+    exactly `cycles` outer iterations.  Distances and times are ticks.
     """
     if (horizon is None) == (cycles is None):
         raise ValueError("give exactly one of horizon or cycles")
-    travel = instance.travel
-    D = instance.diameter
-    t = Fraction(0)
+    limit = None if horizon is None else _horizon_ticks(instance, horizon)
+    travel = instance._ticks.item  # travel(a, b): a Python int for either dtype
+    D = int(instance._ticks.max())
+    t = 0
     pos = instance.start
-    walk: list[tuple[int, Fraction]] = []
+    walk: list[tuple[int, int]] = []
+
+    def go(v: int) -> None:
+        nonlocal t, pos
+        if v != pos:
+            t += travel(pos - 1, v - 1)
+            pos = v
+            walk.append((v, t))
+
     done = 0
-    while (t < horizon) if cycles is None else (done < cycles):
+    while (t < limit) if cycles is None else (done < cycles):
         for ct in state.classes:
-            target = ct.tour[ct.cursor]
-            if target != pos:
-                t += travel[pos - 1][target - 1]
-                pos = target
-                walk.append((pos, t))
-            if len(ct.tour) > 1:
-                covered = Fraction(0)
-                while covered < D:
-                    ct.cursor = (ct.cursor + 1) % len(ct.tour)
-                    nxt = ct.tour[ct.cursor]
-                    step = travel[pos - 1][nxt - 1]
-                    covered += step
-                    t += step
-                    pos = nxt
-                    walk.append((pos, t))
+            go(ct.tour[ct.cursor])
+            entered = t  # the distance covered inside the class is t - entered
+            while len(ct.tour) > 1 and t - entered < D:
+                ct.cursor = (ct.cursor + 1) % len(ct.tour)
+                go(ct.tour[ct.cursor])
         if state.v0:
-            target = state.v0[state.v0_next % len(state.v0)]
+            go(state.v0[state.v0_next % len(state.v0)])
             state.v0_next += 1
-            if target != pos:
-                t += travel[pos - 1][target - 1]
-                pos = target
-                walk.append((pos, t))
         done += 1
-    return walk
+    return _timed(walk, instance._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +372,15 @@ def algorithm1(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     """Repeat an Euler tour of the global MST until `horizon_time`.
 
     Every point recurs within one tour length, so each gap is at most
-    2*MST(V) and every height at most 2*MST(V)*h_max.
+    2*MST(V) and every height at most 2*MST(V)*h_max.  Each tour takes
+    exactly 2*MST(V), so the walk is ceil(horizon / (2*MST(V))) tours.
     """
-    horizon = frac(horizon_time)
-    if horizon <= 0:
-        raise ValueError("horizon_time must be positive")
-    edges, _ = _tree(instance, range(1, instance.n + 1))
+    limit = _horizon_ticks(instance, horizon_time)
+    edges, w = _prim(instance._ticks, range(1, instance.n + 1))
     closed = euler_tour(edges, instance.start)
-    travel = instance.travel
-    t = Fraction(0)
-    pos = instance.start
-    walk: list[tuple[int, Fraction]] = []
-    while t < horizon:
-        for v in closed[1:]:
-            t += travel[pos - 1][v - 1]
-            pos = v
-            walk.append((v, t))
-    return walk
+    legs = [instance._ticks.item(u - 1, v - 1) for u, v in zip(closed, closed[1:])]
+    tours = -(-limit // (2 * w))
+    return _timed(zip(closed[1:] * tours, accumulate(legs * tours)), instance._scale)
 
 
 def algorithm2_classes(instance: MetricInstance) -> list[list[int]]:
@@ -374,14 +407,11 @@ def algorithm2(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     at most 3s*(D + 2*MST(V_i)).  Equal-rate instances fall back to
     algorithm1 (a single class needs no round-robin).
     """
-    horizon = frac(horizon_time)
-    if horizon <= 0:
-        raise ValueError("horizon_time must be positive")
     rs = instance.rates
     if rs.rates[0] == rs.rates[-1]:
-        return algorithm1(instance, horizon)
+        return algorithm1(instance, horizon_time)
     tours = [_class_tour(instance, c) for c in algorithm2_classes(instance) if c]
-    return _patrol(instance, TourState(tours, ()), horizon=horizon)
+    return _patrol(instance, TourState(tours, ()), horizon=horizon_time)
 
 
 def algorithm3_classes(instance: MetricInstance) -> tuple[list[int], list[list[int]]]:
@@ -410,12 +440,9 @@ def algorithm3(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     Class-i gaps are at most (3s+1)(D + 2*MST(V_i)) for s = ceil(2*log2 n);
     V_0 gaps at most (3Ds + D)*|V_0|.
     """
-    horizon = frac(horizon_time)
-    if horizon <= 0:
-        raise ValueError("horizon_time must be positive")
     v0, classes = algorithm3_classes(instance)
     tours = [_class_tour(instance, c) for c in classes if c]
-    return _patrol(instance, TourState(tours, tuple(v0)), horizon=horizon)
+    return _patrol(instance, TourState(tours, tuple(v0)), horizon=horizon_time)
 
 
 def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
@@ -560,12 +587,9 @@ def gen_spiral(n: int) -> MetricInstance:
     """
     if n < 8:
         raise ValueError("spiral instances need n >= 8")
+    d1 = spiral_arc_spacing(n)
     g = round(math.log2(n) / 3)
-    if 8**g != n:
-        raise ValueError(f"n must be a power of 8, got {n}")
-    d1 = Fraction(1, 4**g)
-    d2 = Fraction(1, 2**g)
-    b = float(d2) / (2 * math.pi)
+    b = 1 / 2**g / (2 * math.pi)  # d_2 = 2^-g over a turn
     pts: list[tuple[float, float]] = []
     theta = 0.0
     for _ in range(n):
@@ -574,17 +598,14 @@ def gen_spiral(n: int) -> MetricInstance:
         theta += float(d1) / r
     scale = 1 << 40
     m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            v = math.ceil(math.hypot(xi - pts[j][0], yi - pts[j][1]) * scale)
-            m[i, j] = v
-            m[j, i] = v
+    m[np.triu_indices(n, 1)] = [
+        math.ceil(math.hypot(xi - xj, yi - yj) * scale)
+        for i, (xi, yi) in enumerate(pts)
+        for xj, yj in pts[i + 1:]
+    ]
+    m += m.T
     for k in range(n):
         np.minimum(m, m[:, k][:, None] + m[k][None, :], out=m)
-    travel = tuple(
-        tuple(Fraction(int(m[i, j]), scale) for j in range(n)) for i in range(n)
-    )
     log_n = 3 * g
     eps = Fraction(3, 4**g)
     rates: list[Fraction] = []
@@ -592,7 +613,7 @@ def gen_spiral(n: int) -> MetricInstance:
         rates.extend([(3 - eps) * 2**i / (n * log_n)] * (n // 2**i))
     rates.extend([Fraction(1, 16**g)] * (4**g))
     assert len(rates) == n and sum(rates) == 1, "eps makes the groups and filler sum to 1"
-    return MetricInstance(rates=RateVector(rates), travel=travel, start=1)
+    return MetricInstance._from_ticks(RateVector(rates), m, scale)
 
 
 def spiral_arc_spacing(n: int) -> Fraction:
@@ -627,48 +648,29 @@ def gen_two_cluster(n: int, diameter) -> MetricInstance:
         residual = Fraction(1, 2) - sum(ladder)
         cluster.extend([residual / pad] * pad)
     assert sum(cluster) == Fraction(1, 2) and len(cluster) == half, "padding fills each half"
-    rates: list[Fraction] = []
-    membership: list[int] = []
-    for rate in cluster:
-        rates.extend([rate, rate])
-        membership.extend([0, 1])
+    rates = [rate for rate in cluster for _ in range(2)]  # points 2k-1, 2k: one per cluster
     intra = D / (2 * n)
-    travel = tuple(
-        tuple(
-            Fraction(0)
-            if i == j
-            else (intra if membership[i] == membership[j] else D)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return MetricInstance(rates=RateVector(rates), travel=travel, start=1)
+    travel = [[0 if i == j else D if (i - j) % 2 else intra for j in range(n)] for i in range(n)]
+    return MetricInstance(RateVector(rates), travel)
 
 
 def two_cluster_sweep(instance: MetricInstance, cycles: int = 3) -> list[tuple[int, Fraction]]:
     """Near-optimal handcrafted patrol for two-cluster instances.
 
     Sweeps the start's cluster in index order, hops across, sweeps the other,
-    and repeats; one cycle costs less than 3D, so every height stays O(D).
+    and repeats `cycles` times; one cycle costs less than 3D, so every
+    height stays O(D).
     """
-    D = instance.diameter
-    srow = instance.travel[instance.start - 1]
-    home = [v for v in range(1, instance.n + 1) if srow[v - 1] < D / 2]
-    away = [v for v in range(1, instance.n + 1) if srow[v - 1] >= D / 2 and v != instance.start]
+    if type(cycles) is not int or cycles < 1:
+        raise ValueError(f"cycles must be an int >= 1, got {cycles!r}")
+    D = int(instance._ticks.max())
+    srow = instance._ticks[instance.start - 1].tolist()
+    home = [v for v in range(1, instance.n + 1) if 2 * srow[v - 1] < D]
+    away = [v for v in range(1, instance.n + 1) if 2 * srow[v - 1] >= D and v != instance.start]
     if not away:
         raise ValueError("no far cluster: not a two-cluster instance")
-    travel = instance.travel
-    t = Fraction(0)
-    pos = instance.start
-    walk: list[tuple[int, Fraction]] = []
-    for _ in range(cycles):
-        for v in home + away:
-            if v == pos:
-                continue
-            t += travel[pos - 1][v - 1]
-            pos = v
-            walk.append((v, t))
-    return walk
+    sweep = [ClassTour((v,), 0) for v in home + away]  # one-point classes, visited in turn
+    return _patrol(instance, TourState(sweep, ()), cycles=cycles)
 
 
 def gen_random_metric(n: int, seed: int) -> MetricInstance:
@@ -679,13 +681,10 @@ def gen_random_metric(n: int, seed: int) -> MetricInstance:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
     den = 1 << 20
-    travel = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = Fraction(rng.randint(den // 2, den), den)
-            travel[i][j] = d
-            travel[j][i] = d
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.triu_indices(n, 1)] = [rng.randint(den // 2, den) for _ in range(n * (n - 1) // 2)]
+    m += m.T
     weights = sorted((rng.randint(1, 1 << 16) for _ in range(n)), reverse=True)
     total = sum(weights)
     rates = RateVector([Fraction(w, total) for w in weights])
-    return MetricInstance(rates=rates, travel=tuple(tuple(row) for row in travel), start=1)
+    return MetricInstance._from_ticks(rates, m, den)

@@ -36,7 +36,7 @@ from bgt import (
     two_cluster_sweep,
 )
 from bgt import continuous
-from bgt.continuous import TourState, _class_tour, _patrol, _scaled, _tree
+from bgt.continuous import ClassTour, TourState, _class_tour, _patrol, _scaled, _tree
 
 
 def _line_instance(coords, rates):
@@ -59,7 +59,7 @@ _P61, _P31 = (1 << 61) - 1, (1 << 31) - 1
 # Each case runs on integer matrices of both kinds: as given (int64) and with
 # every entry divided by _P61 * _P31 (Python ints).  The first eight cases
 # keep pytest's positional ids, so results stay comparable with earlier runs.
-@pytest.mark.parametrize(
+_INVALID_INSTANCES = pytest.mark.parametrize(
     "rates,travel,start,field,message",
     [
         pytest.param([F(1, 2), F(1, 2)], ((0, 1), (2, 0)), 1, "travel",
@@ -86,8 +86,13 @@ _P61, _P31 = (1 << 61) - 1, (1 << 31) - 1
                      "asymmetric: t[1][2] != t[2][1]", id="asymmetric-off-the-first-row"),
         pytest.param([F(1, 2), F(1, 2)], ((0, 1), (1,)), 1, "travel",
                      "must be an 2x2 matrix (one row per rate)", id="ragged"),
+        pytest.param([F(1, 2), F(1, 2)], ((0, 1), (1, 0)), True, "start",
+                     "start must be a point index in 1..2", id="bool-start"),
     ],
 )
+
+
+@_INVALID_INSTANCES
 def test_metric_instance_validation(rates, travel, start, field, message):
     for shrink, kind in ((F(1), np.int64), (F(1, _P61 * _P31), object)):
         scaled = tuple(tuple(F(x) * shrink for x in row) for row in travel)
@@ -97,6 +102,79 @@ def test_metric_instance_validation(rates, travel, start, field, message):
             MetricInstance(RateVector(rates), scaled, start)
         assert err.value.field == field
         assert str(err.value) == f"{field}: {message}"
+
+
+@_INVALID_INSTANCES
+def test_the_tick_constructor_runs_the_same_checks(rates, travel, start, field, message):
+    # the same matrices as ticks over 1 (int64) and over _P61 * _P31 (Python ints)
+    for scale, kind in ((1, np.int64), (_P61 * _P31, object)):
+        if len({len(row) for row in travel}) > 1:
+            ticks = np.array(travel, dtype=object)  # a ragged matrix: one object per row
+        else:
+            ticks = np.array(travel, dtype=kind)
+        with pytest.raises(InstanceFormatError) as err:
+            MetricInstance._from_ticks(RateVector(rates), ticks, scale, start)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
+
+def test_tick_instances_are_reduced_and_typed_as_rational_ones():
+    rates = RateVector([F(1, 2), F(1, 2)])
+    four = MetricInstance._from_ticks(rates, np.array([[0, 6], [6, 0]]), 4)
+    assert four == MetricInstance(rates, ((0, F(3, 2)), (F(3, 2), 0)))
+    assert (four._scale, four._ticks.tolist(), four._ticks.dtype) == (2, [[0, 3], [3, 0]], np.int64)
+    # int64 entries above 2^61 are held as Python ints, as a rational matrix would be
+    big = MetricInstance._from_ticks(rates, np.array([[0, 2**62 + 1], [2**62 + 1, 0]]), 1)
+    assert big._ticks.dtype == object and big._ticks[0, 1] == 2**62 + 1
+    assert big == MetricInstance(rates, ((0, 2**62 + 1), (2**62 + 1, 0)))
+
+
+def test_travel_is_a_cached_read_only_view():
+    inst = gen_random_metric(5, 1)
+    assert inst.travel is inst.travel
+    assert isinstance(inst.travel, tuple) and all(type(row) is tuple for row in inst.travel)
+    assert inst.travel[0][1] == F(int(inst._ticks[0, 1]), inst._scale)
+    for name, value in (("travel", ()), ("start", 2), ("rates", TWO_PT.rates)):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, value)
+
+
+def test_bool_start_is_refused_on_both_paths():
+    # True is not point 1: it would reach algorithm1's walks, which
+    # simulate_walk refuses ("point True is not an int")
+    rates = RateVector([F(1, 2), F(1, 2)])
+    with pytest.raises(InstanceFormatError, match="start"):
+        MetricInstance(rates, ((0, 1), (1, 0)), start=True)
+    with pytest.raises(InstanceFormatError, match="start"):
+        MetricInstance._from_ticks(rates, np.array([[0, 1], [1, 0]]), 1, start=True)
+
+
+def _reference_random_metric(n, seed):
+    """gen_random_metric built through Fractions: the tick path's reference."""
+    rng = random.Random(seed)
+    den = 1 << 20
+    travel = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            travel[i][j] = travel[j][i] = F(rng.randint(den // 2, den), den)
+    weights = sorted((rng.randint(1, 1 << 16) for _ in range(n)), reverse=True)
+    total = sum(weights)
+    return MetricInstance(RateVector([F(w, total) for w in weights]), travel, 1)
+
+
+def _tick_built_and_rational_pairs():
+    for n, seed in [(2, 0), (3, 1), (9, 2), (40, 3), (120, 4)]:
+        yield gen_random_metric(n, seed), _reference_random_metric(n, seed)
+    spiral = gen_spiral(64)
+    yield spiral, MetricInstance(spiral.rates, spiral.travel, spiral.start)
+
+
+@pytest.mark.parametrize("inst,ref", list(_tick_built_and_rational_pairs()), ids=lambda i: f"n{i.n}")
+def test_tick_built_instances_equal_the_rational_build(inst, ref):
+    assert inst == ref and hash(inst) == hash(ref)
+    assert inst._scale == ref._scale
+    assert inst._ticks.dtype == ref._ticks.dtype and np.array_equal(inst._ticks, ref._ticks)
+    assert inst.travel == ref.travel
 
 
 def test_normalized_constructor_scales_rates():
@@ -268,8 +346,8 @@ def test_random_metrics_meet_their_certificates():
 
 # --- patrol periodicity ------------------------------------------------------
 
-def _fresh_state(inst):
-    v0, classes = algorithm3_classes(inst)
+def _fresh_state(inst, algo=3):
+    v0, classes = ([], algorithm2_classes(inst)) if algo == 2 else algorithm3_classes(inst)
     return TourState([_class_tour(inst, c) for c in classes if c], tuple(v0))
 
 
@@ -435,8 +513,122 @@ def test_two_cluster_layout():
         gen_two_cluster(2, 1)
 
 
+@pytest.mark.parametrize("cycles", [0, -2, True, 1.5, "3"], ids=repr)
+def test_two_cluster_sweep_refuses_a_bad_cycle_count(cycles):
+    with pytest.raises(ValueError, match="cycles must be an int >= 1"):
+        two_cluster_sweep(gen_two_cluster(8, 1), cycles=cycles)
+
+
 def test_two_cluster_sweep_stays_low():
     inst = gen_two_cluster(16, 1)
     walk = two_cluster_sweep(inst, cycles=3)
     rep = simulate_walk(inst, walk, strict=True)
     assert rep.global_max <= F(3, 4) * inst.diameter
+
+
+# --- integer walks against the Fraction reference ----------------------------
+# The walk builders in Fraction arithmetic on `travel`, kept as the reference:
+# the integer builders must give the same walks element for element.
+
+def _reference_algorithm1(inst, horizon):
+    edges, _ = _tree(inst, range(1, inst.n + 1))
+    closed = euler_tour(edges, inst.start)
+    t, pos, walk = F(0), inst.start, []
+    while t < horizon:
+        for v in closed[1:]:
+            t += inst.travel[pos - 1][v - 1]
+            pos = v
+            walk.append((v, t))
+    return walk
+
+
+def _reference_class_tour(inst, members):
+    members = sorted(members)
+    edges, _ = _tree(inst, members)
+    tour = tuple(euler_tour(edges, members[0])[:-1]) if len(members) > 1 else (members[0],)
+    srow = inst.travel[inst.start - 1]
+    return ClassTour(tour, min(range(len(tour)), key=lambda k: (srow[tour[k] - 1], k)))
+
+
+def _reference_patrol(inst, state, horizon=None, cycles=None):
+    travel, D = inst.travel, inst.diameter
+    t, pos, walk, done = F(0), inst.start, [], 0
+    while (t < horizon) if cycles is None else (done < cycles):
+        for ct in state.classes:
+            target = ct.tour[ct.cursor]
+            if target != pos:
+                t += travel[pos - 1][target - 1]
+                pos = target
+                walk.append((pos, t))
+            if len(ct.tour) > 1:
+                covered = F(0)
+                while covered < D:
+                    ct.cursor = (ct.cursor + 1) % len(ct.tour)
+                    nxt = ct.tour[ct.cursor]
+                    step = travel[pos - 1][nxt - 1]
+                    covered += step
+                    t += step
+                    pos = nxt
+                    walk.append((pos, t))
+        if state.v0:
+            target = state.v0[state.v0_next % len(state.v0)]
+            state.v0_next += 1
+            if target != pos:
+                t += travel[pos - 1][target - 1]
+                pos = target
+                walk.append((pos, t))
+        done += 1
+    return walk
+
+
+def _reference_state(inst, algo):
+    v0, classes = ([], algorithm2_classes(inst)) if algo == 2 else algorithm3_classes(inst)
+    return TourState([_reference_class_tour(inst, c) for c in classes if c], tuple(v0))
+
+
+def _reference_algorithm(inst, algo, horizon):
+    if algo == 1 or (algo == 2 and inst.rates.rates[0] == inst.rates.rates[-1]):
+        return _reference_algorithm1(inst, horizon)
+    return _reference_patrol(inst, _reference_state(inst, algo), horizon=horizon)
+
+
+def _reference_sweep(inst, cycles):
+    D, srow = inst.diameter, inst.travel[inst.start - 1]
+    home = [v for v in range(1, inst.n + 1) if srow[v - 1] < D / 2]
+    away = [v for v in range(1, inst.n + 1) if srow[v - 1] >= D / 2 and v != inst.start]
+    t, pos, walk = F(0), inst.start, []
+    for _ in range(cycles):
+        for v in home + away:
+            if v != pos:
+                t += inst.travel[pos - 1][v - 1]
+                pos = v
+                walk.append((v, t))
+    return walk
+
+
+def _walk_instances():
+    yield from (gen_random_metric(n, seed) for seed, n in enumerate([2, 3, 9, 40, 120], start=11))
+    yield gen_two_cluster(64, F(3, 7))
+    yield gen_spiral(64)
+    yield _huge_denominator_metric(12, 3, rates=[5] * 3 + [2] * 4 + [1] * 5)  # Python-int ticks
+
+
+@pytest.mark.parametrize("inst", list(_walk_instances()), ids=lambda i: f"n{i.n}")
+def test_integer_walks_match_the_fraction_reference(inst):
+    _, w = mst(list(range(1, inst.n + 1)), inst.travel)
+    h = 2 * (inst.diameter + 2 * w)
+    # a horizon on an arrival time, and one half a tick past it
+    on = _reference_algorithm(inst, 3, h / 3)[-2][1]
+    for horizon in (h, h / 3, F(1, 10**6), on, on + F(1, 2 * inst._scale)):
+        for algo, run in ((1, algorithm1), (2, algorithm2), (3, algorithm3)):
+            walk = run(inst, horizon)
+            assert walk == _reference_algorithm(inst, algo, horizon), (algo, horizon)
+            assert all(type(v) is int and type(t) is F for v, t in walk)
+    for algo in (2, 3):
+        for k in (1, 2, 5):
+            state, ref = _fresh_state(inst, algo), _reference_state(inst, algo)
+            assert state == ref  # the same tours and starting cursors
+            assert _patrol(inst, state, cycles=k) == _reference_patrol(inst, ref, cycles=k)
+            assert state == ref  # and the same cursors after k cycles
+    for k in (1, 2, 3):
+        assert two_cluster_sweep(inst, k) == _reference_sweep(inst, k)
