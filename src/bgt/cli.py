@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
 
 def _write_trace(rates: RateVector, schedule: list[int], path: str) -> None:
     """Per-round CSV: the cut made and the tallest height just before it."""
-    w, d = integer_weights(rates.rates)
+    w, d = integer_weights(rates)
     last = [0] * rates.n  # round of the latest cut; bamboo i is (r - last[i]) * w[i] / d tall
     with open(path, "w", newline="") as fp:
         out = csv.writer(fp, lineterminator="\n")

@@ -22,7 +22,7 @@ def reduce_max(rates: RateVector, horizon: int) -> tuple[list[int], SimulationRe
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w, _ = integer_weights(rates.rates)
+    w, _ = integer_weights(rates)
     last = [0] * rates.n  # round of the latest cut; bamboo i is (r - last[i]) * w[i] tall
     schedule = []
     for r in range(1, horizon + 1):
@@ -47,7 +47,7 @@ def reduce_fastest(
         raise ValueError(f"threshold factor x must be positive, got {x}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w, d = integer_weights(rates.rates)
+    w, d = integer_weights(rates)
     # integer heights reach x*H*D exactly when they reach its ceiling
     scaled = x * rates.H * d
     threshold = -(-scaled.numerator // scaled.denominator)
@@ -78,7 +78,7 @@ def diverging_bamboo(rates: RateVector, schedule: Sequence[int]) -> int | None:
         if c:
             last[c] = r
     horizon = len(schedule)
-    w, _ = integer_weights(rates.rates)
+    w, _ = integer_weights(rates)
     bound = 4 * sum(w)  # 4H over the common denominator
     for i, w_i in enumerate(w, start=1):
         if (horizon - last[i]) * w_i > bound:

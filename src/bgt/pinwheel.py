@@ -188,28 +188,27 @@ def _push_down(forest: FrequencyForest, layer: int, group: int, node: Node) -> N
 def _allocate_dyadic(freqs: Sequence[int]) -> list[int]:
     """0-based offsets a_i with the classes (a_i mod f_i) pairwise disjoint.
 
-    Frequencies must be powers of two with total density <= 1.  Processing
-    frequencies in increasing order and always splitting the *largest* free
-    class with modulus <= f keeps the free moduli pairwise distinct; if no
-    such class existed, the free density would be below 1/f while at least
-    1/f of the budget remains unassigned — impossible.  So the inner
-    assertion can only fire if the density precondition was violated; every
-    caller checks that precondition explicitly first.
+    Frequencies must be powers of two with total density <= 1.  They are
+    served in increasing order, each from the smallest free class that fits
+    it: the one with the largest free modulus m <= f, split down to
+    modulus f.  The split frees one class of each modulus 2m, 4m, ..., f,
+    all above the moduli still free, so the free moduli stay pairwise
+    distinct and form a stack, increasing to its top, with none above the
+    f being served: the top is the best fit.  If no class were free, the
+    free density would be below 1/f while at least 1/f of the budget
+    remains unassigned — impossible.  So the starvation assertion can only
+    fire if the density precondition was violated; every caller checks
+    that precondition explicitly first.
     """
-    order = sorted(range(len(freqs)), key=lambda i: (freqs[i], i))
-    free: dict[int, int] = {1: 0}  # modulus -> the single free offset
+    order = sorted(range(len(freqs)), key=freqs.__getitem__)  # stable: ties by index
+    free = [(1, 0)]  # free classes (modulus, offset), moduli increasing to the top
     out = [0] * len(freqs)
     for i in order:
         f = freqs[i]
-        m = 0
-        for mm in free:
-            if m < mm <= f:
-                m = mm
-        assert m, "dyadic allocation starved: density must have exceeded 1"
-        a = free.pop(m)
+        assert free, "dyadic allocation starved: density must have exceeded 1"
+        m, a = free.pop()
         while m < f:
-            assert 2 * m not in free, "free moduli must stay pairwise distinct"
-            free[2 * m] = a + m
+            free.append((2 * m, a + m))
             m *= 2
         out[i] = a
     return out
@@ -283,7 +282,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
         return sched, diag
 
     # f''_i = bound / h_i = P / (b * w_i) over the integer weights w_i = h_i * D
-    w, D = integer_weights(h)
+    w, D = integer_weights(rates)
     b = bound.denominator
     P = bound.numerator * D
     f1 = P // (b * w[0])
@@ -405,7 +404,7 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     f_i >= H/h_i keeps the density at most sum(h_i/H) = 1, and
     h_i * f_i <= 2H bounds every height.
     """
-    w, D = integer_weights(rates.rates)
+    w, D = integer_weights(rates)
     W2 = 2 * rates.H.numerator * (D // rates.H.denominator)   # 2H * D
     freqs = [1 << ((W2 // w_i).bit_length() - 1) for w_i in w]
     dens = density(freqs)

@@ -1,11 +1,15 @@
 """Types, validation, and the exact simulation engines."""
 
+import copy
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+from array import array
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd, lcm
@@ -81,6 +85,80 @@ def test_residue_schedule_validation():
     validate_residue(sched)  # disjoint: odd vs even rounds
     with pytest.raises(ScheduleError):
         validate_residue(ResidueSchedule(((1, 2), (3, 2))))  # both odd
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), [], 5, None], ids=repr)
+def test_residue_schedule_names_a_malformed_pair(bad):
+    # malformed input is a ScheduleError naming the bamboo, not a bare unpacking error
+    msg = f"bamboo 2: {bad!r} is not an (offset, period) pair"
+    with pytest.raises(ScheduleError, match=re.escape(msg)):
+        ResidueSchedule([(1, 2), bad, (2, 2)])
+    with pytest.raises(ScheduleError, match=re.escape(msg)):
+        ResidueSchedule(pq for pq in [[1, 2], bad])  # a one-shot iterable of lists too
+
+
+def test_residue_schedule_takes_any_iterable_of_pairs():
+    assert ResidueSchedule(iter([[1, 2], (2, 2)])).pairs == ((1, 2), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "rates, kind",
+    [
+        ([F(1, 2), F(1, 3), F(1, 6)], array),
+        ([F(1), F(1, 2**62 - 1)], array),  # the largest weight below 2^62
+        ([F(1), F(1, 2**62)], tuple),
+        ([F(3, 7), F(1, 3**40)], tuple),
+    ],
+)
+def test_rate_vector_keeps_its_integer_weights(rates, kind):
+    rv = RateVector(rates)
+    w, d = core.integer_weights(rv)
+    assert type(w) is kind
+    assert (list(w), d) == core.integer_weights(rv.rates)
+    assert core.integer_weights(rv) is core.integer_weights(rv)  # kept, not recomputed
+    # ==, hash, repr and pickling see the two fields only
+    twin = RateVector(list(rates))
+    assert twin == rv and hash(twin) == hash(rv) == hash((rv.rates, rv.H))
+    assert repr(rv) == f"RateVector(rates={rv.rates!r}, H={rv.H!r})"
+    data = pickle.dumps(rv)
+    assert b"_weights" not in data and b"array" not in data
+    back = pickle.loads(data)
+    assert back == rv and core.integer_weights(back) == (w, d)
+    assert copy.deepcopy(rv) == rv
+
+
+def _reference_list_checks(preamble, period, n):
+    """ListSchedule's checks as entry-by-entry loops: the inferred n, or the error."""
+    if not period:
+        raise ScheduleError("period must be nonempty")
+    for i in preamble + period:
+        if type(i) is not int:
+            raise ScheduleError(f"cut index {i!r} must be an integer")
+    if n == 0:
+        n = max(preamble + period)
+    for i in preamble + period:
+        if i < 0 or i > n:
+            raise ScheduleError(f"cut index {i} out of range 0..{n}")
+    return n
+
+
+_ENTRY = st.one_of(st.integers(-2, 6), st.sampled_from([True, False, 2.0, 1.5, "1", None]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, max_size=6), st.lists(_ENTRY, max_size=6), st.integers(0, 5))
+@example([], [0, 0], 0)
+@example([3, -1], [7, 1], 0)
+def test_list_schedule_checks_match_the_entry_loops(preamble, period, n):
+    preamble, period = tuple(preamble), tuple(period)
+    try:
+        expected = _reference_list_checks(preamble, period, n)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as err:
+            ListSchedule(preamble, period, n)
+        assert str(err.value) == str(exc)
+    else:
+        assert ListSchedule(preamble, period, n).n == expected
 
 
 def _pairwise_disjoint(pairs) -> bool:
@@ -756,3 +834,53 @@ def test_simulate_walk_rejects_each_bad_leg_like_the_reference():
                 _same(simulate_walk(inst, walk, strict=strict), expected)
     with pytest.raises(ValueError):
         simulate_walk(inst, [])
+
+
+# --- per-bamboo heights built on first read ---------------------------------
+
+
+def _field_values(report):
+    return [getattr(report, f.name) for f in fields(SimulationReport)]
+
+
+def _check_built_on_first_read(make):
+    """make() returns a fresh report from the library; each is read one way
+    and must match a report given all six fields."""
+    assert "per_bamboo_max" not in vars(make())  # nothing built before a read
+    eager = SimulationReport(*_field_values(make()))
+    assert make() == eager and eager == make()
+    assert hash(make()) == hash(eager)
+    assert repr(make()) == repr(eager)
+    assert replace(make(), horizon=7) == replace(eager, horizon=7)
+    assert pickle.dumps(make()) == pickle.dumps(eager)
+    assert pickle.loads(pickle.dumps(make())) == eager
+    assert copy.copy(make()) == eager
+    named = dict(zip((f.name for f in fields(SimulationReport)), _field_values(make())))
+    assert SimulationReport(**named) == make()
+    report = make()
+    per = report.per_bamboo_max
+    assert report.per_bamboo_max is per  # built once
+    assert len({id(h) for h in per}) == len(set(per))  # one Fraction per distinct height
+    assert per[report.argmax_bamboo - 1] is report.global_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_residue_cases(), _list_cases()))
+def test_cyclic_reports_build_their_heights_on_first_read(case):
+    rates, sched = case
+    _check_built_on_first_read(lambda: evaluate_cyclic(rates, sched))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rates, st.data())
+def test_discrete_reports_build_their_heights_on_first_read(rates, data):
+    cuts = data.draw(st.lists(st.integers(0, rates.n), min_size=1, max_size=30))
+    _check_built_on_first_read(lambda: simulate_discrete(rates, cuts))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_reports_build_their_heights_on_first_read(seed):
+    rng = random.Random(seed)
+    inst = gen_random_metric(rng.randint(2, 7), seed)
+    walk = _random_walk(inst, rng, rng.randint(1, 40), False)
+    _check_built_on_first_read(lambda: simulate_walk(inst, walk, steady_after=walk[-1][1] / 2))

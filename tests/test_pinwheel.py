@@ -77,6 +77,39 @@ def test_allocator_frozen_trace():
     validate_residue(sched)
 
 
+def _reference_allocate_dyadic(freqs):
+    """The allocator as a scan of every free class for the largest modulus <= f."""
+    order = sorted(range(len(freqs)), key=lambda i: (freqs[i], i))
+    free = {1: 0}
+    out = [0] * len(freqs)
+    for i in order:
+        f = freqs[i]
+        m = 0
+        for mm in free:
+            if m < mm <= f:
+                m = mm
+        assert m, "starved"
+        a = free.pop(m)
+        while m < f:
+            assert 2 * m not in free
+            free[2 * m] = a + m
+            m *= 2
+        out[i] = a
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=80))
+def test_allocate_dyadic_matches_the_scanning_reference(exponents):
+    # powers of two in the drawn order, kept while their density stays <= 1
+    freqs, room = [], 1 << 10
+    for e in exponents:
+        if 1 << (10 - e) <= room:
+            freqs.append(1 << e)
+            room -= 1 << (10 - e)
+    assert _allocate_dyadic(freqs) == _reference_allocate_dyadic(freqs)
+
+
 def test_stream_detects_collisions_behind_a_false_certificate():
     bad = ResidueSchedule(((1, 2), (1, 2)))
     stream = next_cuts_stream(bad)
