@@ -13,12 +13,11 @@ per-bamboo maxima are built when `per_bamboo_max` is first read, one
 `Fraction` per distinct height, and a caller that reads only the maxima
 never builds them.  Cyclic schedules come in two forms, residue pairs and
 (preamble, period) lists; `next_cuts_stream` unrolls either form round by
-round.  A residue schedule streams its first 256 rounds in a block; after
-that it repeats one table of its hyperperiod when that is at most 2^20
-rounds, every offset is at most its period and no two bamboos share a
-round.  Any other residue schedule (a clash, an offset past its period, a
-longer hyperperiod) goes on in blocks of 256 rounds, with the same rounds
-and the same ScheduleError in the same round.  `evaluate_cyclic` checks
+round.  A residue schedule is expanded by one window fill, `_window`, one
+slice assignment per bamboo: 256 rounds first, then one hyperperiod that
+repeats when it is at most 2^20 rounds and every offset is at most its
+period, else windows of 2^20 rounds.  The first round two bamboos share
+ends the stream with a ScheduleError.  `evaluate_cyclic` checks
 every residue schedule with `validate_residue` (exact, period group by
 period group, for any hyperperiod); its list path scans a preamble + 2
 periods window.
@@ -40,9 +39,9 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import ge, itemgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
 
 
@@ -111,16 +110,17 @@ class RateVector:
         if not rates:
             raise InstanceFormatError("rates", "at least one growth rate required")
         w, d = integer_weights(rates)
-        for k, wk in enumerate(w):
-            if wk <= 0:
-                raise InstanceFormatError("rates", f"rate #{k + 1} is {rates[k]}; must be positive")
-        for k in range(len(w) - 1):
-            if w[k] < w[k + 1]:
-                raise InstanceFormatError(
-                    "rates",
-                    f"rates must be non-increasing; rate #{k + 1} = {rates[k]}"
-                    f" < rate #{k + 2} = {rates[k + 1]}",
-                )
+        # C-speed passes; the first offender is looked up only on failure
+        if min(w) <= 0:
+            k = next(k for k, wk in enumerate(w) if wk <= 0)
+            raise InstanceFormatError("rates", f"rate #{k + 1} is {rates[k]}; must be positive")
+        if not all(map(ge, w, islice(w, 1, None))):
+            k = next(k for k in range(len(w) - 1) if w[k] < w[k + 1])
+            raise InstanceFormatError(
+                "rates",
+                f"rates must be non-increasing; rate #{k + 1} = {rates[k]}"
+                f" < rate #{k + 2} = {rates[k + 1]}",
+            )
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "H", Fraction(sum(w), d))
         # not a field, so ==, hash and repr ignore it; pickles leave it out
@@ -173,7 +173,15 @@ class ResidueSchedule:
         except TypeError:  # an entry that is no sequence, named below
             pairs = raw
         object.__setattr__(self, "pairs", pairs)
-        for i, pq in enumerate(pairs, start=1):
+        try:  # one bare pass: C-speed passes over the 2n values measured slower
+            for p, q in pairs:
+                if type(p) is not int or type(q) is not int or p < 1 or q < 1:
+                    break
+            else:
+                return
+        except (TypeError, ValueError):  # an entry that is no pair, named below
+            pass
+        for i, pq in enumerate(pairs, start=1):  # walked only to name the first offender
             try:
                 p, q = pq
             except (TypeError, ValueError):
@@ -218,50 +226,54 @@ class ListSchedule:
 CyclicSchedule = ResidueSchedule | ListSchedule
 
 
-_TABLE_CAP = 1 << 20  # longest hyperperiod kept as a table: an 8 MB list
-_BLOCK = 256  # rounds `_block_stream` fills ahead
+_TABLE_CAP = 1 << 20  # longest hyperperiod kept as a table, and the window past it: 8 MB
 
 
-def _hyperperiod_table(pairs: Sequence[tuple[int, int]], after: int) -> list[int] | None:
-    """One hyperperiod L = lcm(q_i) of a residue schedule from round
-    after + 1 on, round r's cut at index (r - 1 - after) mod L; None when
-    some offset exceeds its period, L exceeds _TABLE_CAP, or two bamboos
-    share a round.
+def _window(pairs: Sequence[tuple[int, int]], base: int, width: int) -> tuple[list[int], int]:
+    """A residue schedule's cuts in rounds base + 1 .. base + width, and the
+    1-based offset in that window of the first round two bamboos share
+    (0 = none), which holds the lower index.
 
-    A bamboo fills its L // q slots with one extended-slice assignment of a
-    list that repeats one int object.  The fill is clash-free exactly when
-    it leaves L - sum(L // q_i) slots idle; more cuts than rounds is a clash
-    known before filling.
+    Each bamboo fills its rounds with one extended-slice assignment of a
+    list that repeats one int object, from the highest index down, so the
+    lowest index wins a shared round.  The fill is clash-free exactly when
+    it leaves width - (cuts written) rounds idle.  Only on a clash is the
+    window filled again, lowest index first: the two fills first differ in
+    the first shared round.
     """
-    if any(p > q for p, q in pairs):  # the first cut is not in the first period
-        return None
-    hyper = 1
-    for q in {q for _, q in pairs}:
-        hyper = lcm(hyper, q)
-        if hyper > _TABLE_CAP:
-            return None
-    cuts = sum(hyper // q for _, q in pairs)
-    if cuts > hyper:
-        return None
-    table = [0] * hyper
-    for i, (p, q) in enumerate(pairs, start=1):
-        table[(p - 1 - after) % q :: q] = [i] * (hyper // q)
-    return table if table.count(0) == hyper - cuts else None
+
+    def fill(order):
+        out, cuts = [0] * width, 0
+        for i in order:
+            p, q = pairs[i - 1]
+            s = p - 1 - base if p > base else (p - 1 - base) % q
+            if s < width:
+                k = (width - 1 - s) // q + 1
+                out[s::q] = [i] * k
+                cuts += k
+        return out, cuts
+
+    out, cuts = fill(range(len(pairs), 0, -1))
+    if out.count(0) == width - cuts:
+        return out, 0
+    other, _ = fill(range(1, len(pairs) + 1))
+    return out, next(r for r, (a, b) in enumerate(zip(out, other), start=1) if a != b)
 
 
 def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
     """Stream a cyclic schedule round by round (0 = idle), forever.
 
-    The one schedule-expansion primitive.  A residue schedule yields its
-    first block of rounds from `_block_stream`, so a short prefix never
-    waits for a table.  Then, when its hyperperiod L = lcm(q_i) is at most
-    2^20 rounds, every offset is at most its period and no two bamboos share
-    a round, it is filled once into an L-round table (O(L + n)), which
-    repeats from there on.  Any other residue schedule (a clash found while
-    filling, an offset past its period, a longer L) goes on in blocks, so it
-    yields the same rounds and raises the same ScheduleError in the same
-    round.  A list schedule yields its preamble, then its period over and
-    over.  Both are chained at C speed, with no Python frame per round.
+    The one schedule-expansion primitive.  A residue schedule is filled by
+    `_window`, one extended-slice assignment per bamboo.  Its first 256
+    rounds come in one window, so a short prefix never waits for a longer
+    fill.  Then, when its hyperperiod L = lcm(q_i) is at most 2^20 rounds
+    and every offset is at most its period, the next L rounds are filled
+    once (O(L + n)) and that one list repeats from there on; otherwise the
+    stream goes on in windows of 2^20 rounds.  Two bamboos due in one round
+    end the stream: the lower index is cut in that round, then a
+    ScheduleError names the round.  A list schedule yields its preamble,
+    then its period over and over.  Both are chained at C speed, with no
+    Python frame per round.
     The stream is single-consumer.
     """
     if isinstance(schedule, ListSchedule):
@@ -270,46 +282,30 @@ def next_cuts_stream(schedule: CyclicSchedule) -> Iterator[int]:
 
 
 def _residue_pieces(pairs: Sequence[tuple[int, int]]) -> Iterator[Iterable[int]]:
-    """A residue schedule's stream in consecutive pieces: its first block,
-    then its hyperperiod table over and over or else the rest of its blocks."""
-    blocks = _block_stream(pairs)
-    yield islice(blocks, _BLOCK)
-    table = _hyperperiod_table(pairs, _BLOCK)
-    if table is None:
-        yield blocks
-        return
-    blocks.close()  # frees its calendar, which the table replaces
-    yield from repeat(table)  # not itertools.cycle, which keeps a second copy
-
-
-def _block_stream(pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
-    """A residue schedule filled in blocks of _BLOCK rounds from the bamboos
-    due in each, O(1) per round on average; raises ScheduleError in the
-    round after two bamboos collide."""
-    w, period = _BLOCK, [0] + [q for _, q in pairs]
-    nxt = [0] + [p for p, _ in pairs]  # each bamboo's next cut
-    due = defaultdict(list)  # block -> the bamboos cut in it
-    due[0] = [i for i, p in enumerate(nxt) if 0 < p <= w]
-    clash = 0  # first round two bamboos share; 0 = none seen yet
-    for b in count():
-        if b == 1:  # the rest join after the first block, so a short prefix skips this
-            for i, (p, _) in enumerate(pairs, start=1):
-                if p > w:
-                    due[(p - 1) // w].append(i)
-        base, out = b * w + 1, [0] * w  # out[s] is cut in round base + s
-        for i in due.pop(b, ()):
-            q = period[i]
-            for s in range(nxt[i] - base, w, q):
-                if out[s]:  # both are due in this round: the lower index is cut
-                    clash, out[s] = min(clash or base + s, base + s), min(out[s], i)
-                else:
-                    out[s] = i
-            nxt[i] = t = base + s + q
-            due[(t - 1) // w].append(i)
-        if clash and clash < base + w:
-            yield from out[: clash - base + 1]
-            raise ScheduleError(f"two bamboos scheduled in round {clash}: residue collision")
-        yield from out
+    """A residue schedule's stream in consecutive windows: 256 rounds, then
+    one hyperperiod repeated or else windows of max(_TABLE_CAP, 256)
+    rounds; on a clash, the rounds up to it, then ScheduleError."""
+    base, width = 0, 256
+    window, clash = _window(pairs, base, width)
+    if not clash:
+        yield window
+        base, hyper = width, 1
+        for q in {q for _, q in pairs}:
+            hyper = lcm(hyper, q)
+            if hyper > _TABLE_CAP:
+                break
+        # from round 1 on, bamboo i is cut in every round = p_i mod q_i iff p_i <= q_i
+        table = hyper <= _TABLE_CAP and all(p <= q for p, q in pairs)
+        width = hyper if table else max(_TABLE_CAP, width)  # never 0, even with the cap at 0
+        window, clash = _window(pairs, base, width)
+        if table and not clash:
+            yield from repeat(window)  # not itertools.cycle, which keeps a second copy
+        while not clash:
+            yield window
+            base += width
+            window, clash = _window(pairs, base, width)
+    yield window[:clash]
+    raise ScheduleError(f"two bamboos scheduled in round {base + clash}: residue collision")
 
 
 def validate_residue(schedule: ResidueSchedule) -> None:

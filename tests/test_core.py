@@ -161,6 +161,72 @@ def test_list_schedule_checks_match_the_entry_loops(preamble, period, n):
         assert ListSchedule(preamble, period, n).n == expected
 
 
+def _reference_residue_checks(raw):
+    """ResidueSchedule's checks as one loop over the entries: the pairs, or the error."""
+    raw = tuple(raw)
+    try:
+        pairs = tuple(map(tuple, raw))
+    except TypeError:
+        pairs = raw
+    for i, pq in enumerate(pairs, start=1):
+        try:
+            p, q = pq
+        except (TypeError, ValueError):
+            raise ScheduleError(
+                f"bamboo {i}: {raw[i - 1]!r} is not an (offset, period) pair"
+            ) from None
+        if type(p) is not int or type(q) is not int or p < 1 or q < 1:
+            raise ScheduleError(f"bamboo {i}: offset/period ({p!r},{q!r}) must be ints >= 1")
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.tuples(_ENTRY, _ENTRY), st.lists(_ENTRY, max_size=3), _ENTRY), max_size=5)
+)
+@example([(1, 2), (True, 2)])
+@example([(1, 2), [3, 0]])
+def test_residue_schedule_checks_match_the_entry_loop(raw):
+    try:
+        expected = _reference_residue_checks(raw)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as err:
+            ResidueSchedule(raw)
+        assert str(err.value) == str(exc)
+    else:
+        assert ResidueSchedule(raw).pairs == expected
+
+
+def _reference_rate_checks(rates):
+    """RateVector's sign and order checks as loops over the rates: the rates, or the error."""
+    rates = tuple(map(frac, rates))
+    for k, h in enumerate(rates):
+        if h <= 0:
+            raise InstanceFormatError("rates", f"rate #{k + 1} is {h}; must be positive")
+    for k in range(len(rates) - 1):
+        if rates[k] < rates[k + 1]:
+            raise InstanceFormatError(
+                "rates",
+                f"rates must be non-increasing; rate #{k + 1} = {rates[k]}"
+                f" < rate #{k + 2} = {rates[k + 1]}",
+            )
+    return rates
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=6), min_size=1, max_size=6))
+@example([F(1, 2), F(1, 3), F(1, 2), F(0)])  # both faults: the sign is reported
+def test_rate_vector_checks_match_the_loops(rates):
+    try:
+        expected = _reference_rate_checks(rates)
+    except InstanceFormatError as exc:
+        with pytest.raises(InstanceFormatError) as err:
+            RateVector(rates)
+        assert str(err.value) == str(exc)
+    else:
+        assert RateVector(rates).rates == expected
+
+
 def _pairwise_disjoint(pairs) -> bool:
     """Reference: the congruence test p = p' (mod gcd(q, q')) on every pair."""
     return all(
@@ -366,20 +432,22 @@ def _reference_stream(pairs, rounds):
 
 @settings(max_examples=150, deadline=None)
 @given(_residue_schedules(), st.sampled_from([1, 7, 40]), st.booleans())
-@example(((256, 300), (256, 512)), 1, False)  # clash in the last round of a block
-@example(((1, 256), (257, 512)), 1, False)  # clash in the first round of the next
+@example(((256, 300), (256, 512)), 1, False)  # clash in the last of the first 256 rounds
+@example(((1, 256), (257, 512)), 1, False)  # clash in the round after them
 @example(((1, 2), (2, 4), (4, 8), (8, 8)), 40, False)  # table, 3.75 hyperperiods of 320
 @example(((1, 2), (2, 4), (4, 8), (8, 8)), 40, True)  # the same just above the table cap
 @example(((1, 3), (2, 6)), 7, False)  # the table starts 256 % 42 = 4 rounds into a hyperperiod
 @example(((3, 2), (2, 4)), 1, False)  # an offset above its period
-@example(((1, 2), (259, 512)), 1, False)  # a clash after the first block, found by the fill
-@example(((1, 2), (2, 2), (300, 512)), 1, False)  # more cuts than rounds: no fill
+@example(((1, 2), (259, 512)), 1, False)  # a clash after the first 256 rounds, found by the fill
+@example(((1, 2), (2, 2), (300, 512)), 1, False)  # more cuts than rounds
+@example(((513, 2), (1, 2)), 1, True)  # a clash in the first round of the second sliding window
+@example(((1, 1),), 1, True)  # L = 1 with the cap at 0: windows of 256 rounds, not 0
 def test_next_cuts_stream_matches_the_reference(pairs, k, above_cap):
     # scaling offsets and periods by k moves every clash to k times its round
     pairs = tuple((k * p, k * q) for p, q in pairs)
     want, clash = _reference_stream(pairs, 1200)
     with pytest.MonkeyPatch.context() as mp:
-        if above_cap:  # the table would be filled after the first block
+        if above_cap:  # the hyperperiod would be filled after the first 256 rounds
             mp.setattr(core, "_TABLE_CAP", lcm(*(q for _, q in pairs)) - 1)
         stream = next_cuts_stream(ResidueSchedule(pairs))
         assert list(islice(stream, len(want))) == want
@@ -391,27 +459,63 @@ def test_next_cuts_stream_matches_the_reference(pairs, k, above_cap):
 @pytest.mark.parametrize(
     "pairs, after, cap, table",
     [
-        (((1, 2), (2, 4), (4, 8)), 0, None, [1, 2, 1, 3, 1, 2, 1, 0]),
-        (((1, 2), (2, 4), (4, 8)), 3, None, [3, 1, 2, 1, 0, 1, 2, 1]),  # from round 4 on
-        (((1, 2), (2, 4), (4, 8)), 0, 7, None),  # hyperperiod 8 above the cap
-        (((3, 2), (2, 4)), 0, None, None),  # an offset above its period
-        (((1, 2), (259, 512)), 256, None, None),  # a clash found while filling
-        (((1, 2), (2, 2), (300, 512)), 256, None, None),  # more cuts than rounds
+        (((1, 2), (2, 4), (4, 8)), 0, None, ([1, 2, 1, 3, 1, 2, 1, 0], 0, "table")),
+        (((1, 2), (2, 4), (4, 8)), 3, None, ([3, 1, 2, 1, 0, 1, 2, 1], 0, "table")),  # from round 4
+        (((1, 2), (2, 4), (4, 8)), 0, 7, ([1, 2, 1, 3, 1, 2, 1, 0], 0, "windows")),  # L above cap
+        (((3, 2), (2, 4)), 0, None, ([0, 2, 1, 0], 0, "windows")),  # an offset above its period
+        (((1, 2), (259, 512)), 256, None, ([1, 0] * 256, 3, "table")),  # a clash in the fill
+        (((1, 2), (2, 2), (300, 512)), 256, None, ([1, 2] * 256, 44, "table")),  # cuts > rounds
+    ],
+    # the ids the cases had when `table` was the expected hyperperiod table or None
+    ids=[
+        "pairs0-0-None-table0",
+        "pairs1-3-None-table1",
+        "pairs2-0-7-None",
+        "pairs3-0-None-None",
+        "pairs4-256-None-None",
+        "pairs5-256-None-None",
     ],
 )
 def test_hyperperiod_table_only_where_it_applies(monkeypatch, pairs, after, cap, table):
-    # the differential above cannot tell the paths apart; this pins which runs
+    # the differential above cannot tell the modes apart; this pins the fill and which mode runs
+    window, clash, mode = table
     if cap is not None:
         monkeypatch.setattr(core, "_TABLE_CAP", cap)
-    assert core._hyperperiod_table(pairs, after) == table
+    hyper = lcm(*(q for _, q in pairs))
+    assert core._window(pairs, after, hyper) == (window, clash)
+    fill, widths = core._window, []
+
+    def spy(pairs, base, width):
+        widths.append((base, width))
+        return fill(pairs, base, width)
+
+    monkeypatch.setattr(core, "_window", spy)
+    pieces = core._residue_pieces(pairs)
+    first, second = next(pieces), next(pieces)
+    assert len(first) == 256
+    if clash:  # the rounds up to the clash, then the error
+        assert (second, widths) == (window[:clash], [(0, 256), (256, hyper)])
+        with pytest.raises(ScheduleError, match=f"round {after + clash}: residue collision"):
+            next(pieces)
+    elif mode == "table":  # one hyperperiod, the same list over and over
+        assert next(pieces) is second and len(second) == hyper
+        assert widths == [(0, 256), (256, hyper)]
+    else:  # fresh windows, never narrower than the first
+        third = next(pieces)
+        assert third is not second and len(second) == len(third) == max(core._TABLE_CAP, 256)
+        assert widths == [(0, 256), (256, len(second)), (256 + len(second), len(second))]
 
 
 def test_a_short_prefix_does_not_fill_the_table(monkeypatch):
-    # the first block streams before the table is built: a 64-round prefix never pays for it
-    def refuse(pairs, after):
-        raise AssertionError("table built for a short prefix")
+    # the first 256 rounds stream before a longer window is filled: a short prefix never pays for it
+    fill = core._window
 
-    monkeypatch.setattr(core, "_hyperperiod_table", refuse)
+    def refuse(pairs, base, width):
+        if width > 256:
+            raise AssertionError("a longer window filled for a short prefix")
+        return fill(pairs, base, width)
+
+    monkeypatch.setattr(core, "_window", refuse)
     pairs = ((1, 2), (2, 4), (4, 8))
     want, _ = _reference_stream(pairs, 256)
     assert list(islice(next_cuts_stream(ResidueSchedule(pairs)), 256)) == want
