@@ -15,9 +15,9 @@ patrol strategies trade generality for height guarantees:
 Travel times are exact rationals, held once as integer ticks over their
 common denominator (int64 when they fit, Python ints otherwise).
 Validation, the one Prim MST kernel behind tours and certificates, the MST
-lower bound (incremental over rate prefixes) and the walk builders all run
-on that integer matrix; Fractions are built only at the edge: the cached
-`travel` view, walk times, bounds and reports.
+lower bound (its own Kruskal, incremental over rate prefixes) and the walk
+builders all run on that integer matrix; Fractions are built only at the
+edge: the cached `travel` view, walk times, bounds and reports.
 
 Also here: Euler tours, the diameter and MST lower bounds, the
 discrete-to-continuous reduction, and the adversarial instance generators

@@ -90,8 +90,9 @@ def integer_weights(rates: RateVector | Sequence[Fraction]) -> tuple[Sequence[in
     """
     if isinstance(rates, RateVector):
         return rates._weights
-    d = lcm(*(h.denominator for h in rates))
-    return [h.numerator * (d // h.denominator) for h in rates], d
+    ratios = [h.as_integer_ratio() for h in rates]
+    d = lcm(*{den for _, den in ratios})
+    return [num * (d // den) for num, den in ratios], d
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 The centerpiece is main_algorithm: starting from target frequencies
 f''_i = (1+delta)H/h_i with delta an exact rational upper stand-in for
 3*sqrt(h_1/H), it rounds every frequency down onto the grid 2^k*(1+j/C),
-merges equal frequencies (two 2f -> one f; C+j copies of 2^min*(1+j/C) ->
-one power of two), pushes stragglers into the next lower group, and finally
-assigns the surviving powers of two pairwise-disjoint residue classes by
-dyadic (buddy) allocation.  Expansion trees remember every merge so the
-schedule can be unfolded back to the original bamboos as (p_i, q_i) pairs
-with h_i * q_i <= (1+delta)H.  The schedulers here return `ResidueSchedule`s;
+merges equal frequencies by one rule, m copies of m*f -> one f (m = 2 above
+the lowest layer; m = C+j copies of 2^min*(1+j/C) -> one power of two in
+it), pushes stragglers into the next lower group, and finally assigns the
+surviving powers of two pairwise-disjoint residue classes by dyadic (buddy)
+allocation.  Expansion trees remember every merge: a node is a bamboo's
+index or the tuple of the nodes merged into it, and its frequency is its
+bucket's.  Unfolding them gives the bamboos their (p_i, q_i) pairs, with
+h_i * q_i <= (1+delta)H.  The schedulers here return `ResidueSchedule`s;
 `bgt.core.next_cuts_stream` unrolls them round by round.
 
 The arithmetic runs on the integer weights w_i = h_i * D (`integer_weights`);
@@ -25,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .core import CertificateError, RateVector, ResidueSchedule, integer_weights
@@ -69,113 +72,71 @@ def sqrt_upper(x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Expansion-tree nodes
+# Expansion trees
 # ---------------------------------------------------------------------------
 
-
-@dataclass(slots=True)
-class Leaf:
-    """An original bamboo holding its current (possibly reduced) frequency."""
-
-    index: int
-    freq: int
-
-
-@dataclass(slots=True)
-class Pair:
-    """Observation-1 node: two equal frequencies 2f merged into one f."""
-
-    left: "Node"
-    right: "Node"
-    freq: int
-
-
-@dataclass(slots=True)
-class Combine:
-    """Observation-2 node: m equal frequencies m*f merged into one f."""
-
-    children: list["Node"]
-    freq: int
-
-
-Node = Leaf | Pair | Combine
+# A node is a bamboo's 1-based index, or the tuple of the nodes merged into
+# it, in order.  Its frequency is its bucket's, so a node stores none.
+Node = int | tuple
 
 
 @dataclass
 class FrequencyForest:
     """Working state of the reduction: grid buckets plus finished powers of two.
 
-    An entry in bucket (k, j) has frequency 2^k + j*2^(k-q) = 2^k*(1+j/C);
-    group j = 0 is kept directly in `powers` (already a power of two).
+    An entry in bucket (k, j) has frequency 2^k + j*2^(k-q) = 2^k*(1+j/C).
+    Group j = 0 is kept directly in `powers` as (node, frequency) pairs:
+    these roots are powers of two, and nothing merges them further.
     """
 
     min_layer: int
-    max_layer: int
     q: int
     C: int
     buckets: dict[tuple[int, int], list[Node]] = field(default_factory=dict)
-    powers: list[Node] = field(default_factory=list)
+    powers: list[tuple[Node, int]] = field(default_factory=list)
     obs1_count: int = 0
     obs2_count: int = 0
 
     def grid_freq(self, k: int, j: int) -> int:
         return (1 << k) + (j << (k - self.q))
 
+    def density(self) -> Fraction:
+        """Total density of the nodes in the buckets and the powers."""
+        freqs = [f for _, f in self.powers]
+        for (k, j), nodes in self.buckets.items():
+            freqs += [self.grid_freq(k, j)] * len(nodes)
+        return density(freqs)
 
-def observation1_merge(forest: FrequencyForest, layer: int, group: int) -> None:
-    """Pair equal frequencies 2f two by two into nodes of frequency f.
 
-    Pairs the bucket's entries in order, (0, 1), (2, 3), ..., leaving at
-    most one behind; the results go one layer down in the same group.
-    Density is preserved exactly (an internal invariant, asserted).
+def _merge(forest: FrequencyForest, layer: int, group: int) -> None:
+    """Merge the bucket's equal frequencies f, m at a time in order, into f // m.
+
+    m copies of 1/f are one 1/(f // m) exactly when m divides f.  Above the
+    lowest layer m = 2 (Observation 1) and the merged nodes go one layer
+    down in the same group; in the lowest layer m = C + group
+    (Observation 2) and they are the power of two 2^(min-q).  Fewer than m
+    nodes are left behind.  The identities are asserted.
     """
-    nodes = forest.buckets.get((layer, group))
-    if not nodes or len(nodes) < 2:
-        raise ValueError(f"layer {layer} group {group}: need two equal entries to pair")
-    if layer - 1 < forest.min_layer:
-        raise ValueError(f"layer {layer}: pair result would drop off the grid")
+    nodes = forest.buckets[layer, group]
     f = forest.grid_freq(layer, group)
-    assert all(nd.freq == f for nd in nodes), "bucketed node with inconsistent frequency"
-    # exact density preservation, 1/f + 1/f == 1/(f // 2), holds iff f is even
-    assert f % 2 == 0, "pairing an odd frequency would change the density"
-    half = f // 2
-    count = len(nodes) // 2
-    merged = [Pair(a, b, half) for a, b in zip(nodes[0:2 * count:2], nodes[1:2 * count:2])]
-    del nodes[:2 * count]
-    forest.buckets.setdefault((layer - 1, group), []).extend(merged)
-    forest.obs1_count += count
-
-
-def observation2_merge(forest: FrequencyForest, layer: int, group: int) -> None:
-    """Combine m = C+group equal lowest-layer frequencies into powers of two.
-
-    Bundles the bucket's entries m at a time, in order, leaving fewer than m
-    behind.  2^min*(1+j/C) divided by C+j is 2^(min-q); density is preserved
-    exactly (an internal invariant, asserted).
-    """
-    if layer != forest.min_layer:
-        raise ValueError("bundle merges are only defined in the lowest layer")
-    m = forest.C + group
-    nodes = forest.buckets.get((layer, group))
-    if not nodes or len(nodes) < m:
-        have = len(nodes) if nodes else 0
-        raise ValueError(f"layer {layer} group {group}: need {m} equal entries, have {have}")
-    f = forest.grid_freq(layer, group)
-    assert all(nd.freq == f for nd in nodes), "bucketed node with inconsistent frequency"
-    # m copies of 1/f sum to exactly 1/f' iff m * f' == f
-    fm = f // m
-    assert fm * m == f and fm == 1 << (forest.min_layer - forest.q)
-    count = len(nodes) // m
-    forest.powers.extend(Combine(nodes[t:t + m], fm) for t in range(0, count * m, m))
-    del nodes[:count * m]
-    forest.obs2_count += count
+    lowest = layer == forest.min_layer
+    m = forest.C + group if lowest else 2
+    assert f % m == 0, f"{m} copies of 1/{f} would change the density"
+    merged = list(zip(*[iter(nodes)] * m))  # consecutive m-tuples, in order
+    del nodes[:len(merged) * m]
+    if lowest:
+        assert f // m == 1 << (forest.min_layer - forest.q), "C + j copies make 2^(min-q)"
+        forest.powers.extend((nd, f // m) for nd in merged)
+        forest.obs2_count += len(merged)
+    else:
+        forest.buckets.setdefault((layer - 1, group), []).extend(merged)
+        forest.obs1_count += len(merged)
 
 
 def _push_down(forest: FrequencyForest, layer: int, group: int, node: Node) -> None:
     """Reduce a node's frequency to the next lower group (cutting it more often)."""
-    node.freq = forest.grid_freq(layer, group - 1)
-    if group - 1 == 0:
-        forest.powers.append(node)
+    if group == 1:
+        forest.powers.append((node, forest.grid_freq(layer, 0)))
     else:
         forest.buckets.setdefault((layer, group - 1), []).append(node)
 
@@ -263,16 +224,15 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     """Cyclic schedule with every height <= (1+delta)*H, delta ~ 3*sqrt(h1/H).
 
     Steps: (1) target frequencies f''_i = (1+delta)H/h_i and grid parameters
-    min/max/C; (2) round each f''_i down to the grid; (3) pair equal entries
-    layer by layer; (4) bundle lowest-layer groups into powers of two;
-    (5) push leftovers group-by-group downward, re-merging opportunistically;
-    (6) dyadic residue allocation, unfolded through the expansion trees.
+    min/max/C; (2) round each f''_i down to the grid; (3-4) merge equal
+    entries top down: pairs above the lowest layer, bundles into powers of
+    two in it; (5) push leftovers group by group downward, re-merging as we
+    go; (6) dyadic residue allocation, unfolded through the expansion trees.
     """
     h = rates.rates
     n = rates.n
-    H = rates.H
-    delta = 3 * sqrt_upper(h[0] / H)
-    bound = (1 + delta) * H
+    delta = 3 * sqrt_upper(h[0] / rates.H)
+    bound = (1 + delta) * rates.H
     if n == 1:
         sched = ResidueSchedule(((1, 1),))
         diag = MainDiagnostics(
@@ -291,7 +251,7 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     max_layer = (P // (b * w[-1])).bit_length() - 1
     q = min_layer // 2
     C = 1 << q
-    forest = FrequencyForest(min_layer, max_layer, q, C)
+    forest = FrequencyForest(min_layer, q, C)
 
     # step 2: round down to the largest grid value <= f''_i; rates are sorted,
     # so equal weights come in runs and share one rounding
@@ -303,106 +263,93 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
             k = (P // Q).bit_length() - 1
             j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
             assert 0 <= j < C and k >= min_layer, "2^k <= f''_i < 2^(k+1), f''_i >= f''_1"
-            f = (1 << k) + (j << (k - q))
-            bucket = forest.powers if j == 0 else forest.buckets.setdefault((k, j), [])
-        bucket.append(Leaf(idx, f))
+            if j:
+                bucket = forest.buckets.setdefault((k, j), [])
+        if j:
+            bucket.append(idx)
+        else:
+            forest.powers.append((idx, 1 << k))
 
-    groups = [*forest.buckets.values(), forest.powers]
-    dens2 = density([nd.freq for group in groups for nd in group])
+    dens2 = forest.density()
     dens2_bound = (1 + Fraction(1, C)) / (1 + delta)
     if dens2 > dens2_bound:
         raise CertificateError(
             f"rounded density {dens2} exceeds (1+1/C)/(1+delta) = {dens2_bound}"
         )
 
-    # step 3: pair equal frequencies, top layer down to min+1
-    for k in range(max_layer, min_layer, -1):
+    # steps 3-4: merge equal frequencies, top layer down
+    layers = range(max_layer, min_layer - 1, -1)
+    for k in layers:
         for j in range(1, C):
-            nodes = forest.buckets.get((k, j))
-            if nodes and len(nodes) >= 2:
-                observation1_merge(forest, k, j)
-
-    # step 4: bundle lowest-layer groups down to at most C+j-1 entries each
-    for j in range(1, C):
-        nodes = forest.buckets.get((min_layer, j))
-        if nodes and len(nodes) >= C + j:
-            observation2_merge(forest, min_layer, j)
+            if forest.buckets.get((k, j)):
+                _merge(forest, k, j)
 
     # step 5: push leftovers to the next lower group, re-merging as we go
-    for k in range(max_layer, min_layer, -1):
+    for k in layers:
         for j in range(C - 1, 0, -1):
             nodes = forest.buckets.get((k, j))
-            if not nodes:
-                continue
-            if len(nodes) >= 2:
-                observation1_merge(forest, k, j)
             if nodes:
-                _push_down(forest, k, j, nodes.pop())
-    for j in range(C - 1, 0, -1):
-        nodes = forest.buckets.get((min_layer, j))
-        if not nodes:
-            continue
-        if len(nodes) >= C + j:
-            observation2_merge(forest, min_layer, j)
-        while nodes:
-            _push_down(forest, min_layer, j, nodes.pop(0))
+                _merge(forest, k, j)
+                while nodes:
+                    _push_down(forest, k, j, nodes.pop(0))
 
     assert not any(forest.buckets.values()), "grid must be empty after push-downs"
-    final_density = density([nd.freq for nd in forest.powers])  # the grid is empty
+    final_density = forest.density()  # the grid is empty: the powers' density
     if final_density > 1:
         raise CertificateError(f"final powers-of-two density {final_density} exceeds 1")
 
-    # step 6: allocate residues to the roots and unfold the expansion trees
-    offsets = _allocate_dyadic([nd.freq for nd in forest.powers])
+    # step 6: residues for the roots, unfolded: child t of (a, m) gets (a + t*m, m*len(node))
+    offsets = _allocate_dyadic([f for _, f in forest.powers])
     pairs: list[tuple[int, int] | None] = [None] * (n + 1)
-    stack = [(nd, a, nd.freq) for nd, a in zip(forest.powers, offsets)]
+    stack = [(nd, a, f) for (nd, f), a in zip(forest.powers, offsets)]
     while stack:
         nd, a, m = stack.pop()
-        if isinstance(nd, Leaf):
-            pairs[nd.index] = (a + 1, m)
-        elif isinstance(nd, Pair):
-            stack.append((nd.left, a, 2 * m))
-            stack.append((nd.right, a + m, 2 * m))
+        if type(nd) is int:
+            pairs[nd] = (a + 1, m)
         else:
-            mm = m * len(nd.children)
-            stack.extend(
-                (ch, a + t * m, mm) for t, ch in enumerate(nd.children)
-            )
+            mm = m * len(nd)
+            stack.extend((ch, a + t * m, mm) for t, ch in enumerate(nd))
     assert all(pq is not None for pq in pairs[1:]), "every bamboo is a leaf of one tree"
 
-    # Integer heights w_i * t are at most bound * D exactly when they are at
-    # most cap = floor(P / b).
-    cap = P // b
-    top = 0
-    for i, (w_i, (p_i, q_i)) in enumerate(zip(w, pairs[1:]), start=1):
-        # the per-bamboo guarantee: q_i never exceeds the target frequency
-        if w_i * q_i > cap:
-            raise CertificateError(
-                f"bamboo {i}: h_i * q_i = {h[i - 1] * q_i} exceeds (1+delta)H = {bound}"
-            )
-        t = w_i * (p_i if p_i > q_i else q_i)
-        if t > top:
-            top = t
-    realized = Fraction(top, D)
-    if top > cap:
-        raise CertificateError(f"realized height {realized} exceeds the bound {bound}")
-
     sched = ResidueSchedule(tuple(pairs[1:]))
+    realized = _certify_heights(rates, sched.pairs, bound, "(1+delta)H")
     K = (1 << min_layer) // (C * C)
     assert K in (1, 2), "min_layer = 2q or 2q + 1, so 2^min / C^2 is 1 or 2"
     diag = MainDiagnostics(
-        delta, bound, dens2, dens2_bound, final_density,
-        min_layer, max_layer, C, K,
+        delta, bound, dens2, dens2_bound, final_density, min_layer, max_layer, C, K,
         forest.obs1_count, forest.obs2_count, realized,
     )
     return sched, diag
+
+
+def _certify_heights(rates: RateVector, pairs: Sequence, bound: Fraction, name: str) -> Fraction:
+    """A residue schedule's realized height, certified with every h_i * q_i to be <= bound.
+
+    Integer heights w_i * t are at most bound * D exactly when they are at
+    most cap = floor(bound * D).  C-speed passes; the first offending
+    bamboo is looked up only on failure.
+    """
+    w, D = integer_weights(rates)
+    cap = bound.numerator * D // bound.denominator
+    steady = max(map(mul, w, map(itemgetter(1), pairs)))
+    if steady > cap:
+        i = next(i for i, (w_i, (_, q_i)) in enumerate(zip(w, pairs)) if w_i * q_i > cap)
+        raise CertificateError(
+            f"bamboo {i + 1}: h_i * q_i = {rates.rates[i] * pairs[i][1]} exceeds {name} = {bound}"
+        )
+    # bamboo i peaks at h_i * max(p_i, q_i): the larger of the q and the p maxima
+    top = max(steady, max(map(mul, w, map(itemgetter(0), pairs))))
+    realized = Fraction(top, D)
+    if top > cap:
+        raise CertificateError(f"realized height {realized} exceeds the bound {bound}")
+    return realized
 
 
 def two_approx(rates: RateVector) -> ResidueSchedule:
     """2-approximation: round 2H/h_i down to a power of two, allocate residues.
 
     f_i >= H/h_i keeps the density at most sum(h_i/H) = 1, and
-    h_i * f_i <= 2H bounds every height.
+    h_i * f_i <= 2H bounds every height; both are certified.
     """
     w, D = integer_weights(rates)
     W2 = 2 * rates.H.numerator * (D // rates.H.denominator)   # 2H * D
@@ -410,7 +357,9 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     dens = density(freqs)
     if dens > 1:
         raise CertificateError(f"two_approx frequencies have density {dens} > 1")
-    return _dyadic_schedule(freqs)
+    sched = _dyadic_schedule(freqs)
+    _certify_heights(rates, sched.pairs, 2 * rates.H, "2H")
+    return sched
 
 
 def density_34_frequencies(rates: RateVector) -> list[int]:

@@ -1,5 +1,6 @@
 """Pinwheel rounding: sqrt_upper, the frequency forest, and the schedulers."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -38,16 +39,7 @@ from bgt import (
 )
 from bgt import core, pinwheel
 from bgt.core import integer_weights
-from bgt.pinwheel import (
-    Combine,
-    FrequencyForest,
-    Leaf,
-    Pair,
-    _allocate_dyadic,
-    _push_down,
-    observation1_merge,
-    observation2_merge,
-)
+from bgt.pinwheel import FrequencyForest, _allocate_dyadic, _dyadic_schedule, _merge, _push_down
 
 ONE_PLUS = F(1 << 30 | 1, 1 << 30)  # relative slack guaranteed by sqrt_upper
 
@@ -207,22 +199,20 @@ def _reference_density(freqs):
 
 def _reference_forest_density(forest):
     total = F(0)
-    for nodes in forest.buckets.values():
-        for nd in nodes:
-            total += F(1, nd.freq)
-    for nd in forest.powers:
-        total += F(1, nd.freq)
+    for (k, j), nodes in forest.buckets.items():
+        for _ in nodes:
+            total += F(1, forest.grid_freq(k, j))
+    for _, f in forest.powers:
+        total += F(1, f)
     return total
 
 
 def _reference_observation1_merge(forest, layer, group):
     nodes = forest.buckets.get((layer, group))
     f = forest.grid_freq(layer, group)
-    a, b = nodes[0], nodes[1]
+    merged = (nodes[0], nodes[1])
     del nodes[:2]
-    assert a.freq == f and b.freq == f
-    merged = Pair(a, b, f // 2)
-    assert F(1, a.freq) + F(1, b.freq) == F(1, merged.freq)
+    assert F(1, f) + F(1, f) == F(1, f // 2)
     forest.buckets.setdefault((layer - 1, group), []).append(merged)
     forest.obs1_count += 1
 
@@ -231,13 +221,12 @@ def _reference_observation2_merge(forest, layer, group):
     m = forest.C + group
     nodes = forest.buckets.get((layer, group))
     f = forest.grid_freq(layer, group)
-    taken = nodes[:m]
+    taken = tuple(nodes[:m])
     del nodes[:m]
-    assert all(nd.freq == f for nd in taken)
-    merged = Combine(taken, f // m)
-    assert merged.freq * m == f and merged.freq == 1 << (forest.min_layer - forest.q)
-    assert sum(F(1, nd.freq) for nd in taken) == F(1, merged.freq)
-    forest.powers.append(merged)
+    fm = f // m
+    assert fm * m == f and fm == 1 << (forest.min_layer - forest.q)
+    assert sum(F(1, f) for _ in taken) == F(1, fm)
+    forest.powers.append((taken, fm))
     forest.obs2_count += 1
 
 
@@ -259,18 +248,17 @@ def _reference_main_algorithm(rates):
     max_layer = (fn.numerator // fn.denominator).bit_length() - 1
     q = min_layer // 2
     C = 1 << q
-    forest = FrequencyForest(min_layer, max_layer, q, C)
+    forest = FrequencyForest(min_layer, q, C)
     for idx, hi in enumerate(h, start=1):
         P = a_num * hi.denominator
         Q = a_den * hi.numerator
         k = (P // Q).bit_length() - 1
         j = (P << q) // (Q << k) - C
         assert 0 <= j < C and k >= min_layer
-        leaf = Leaf(idx, (1 << k) + (j << (k - q)))
         if j == 0:
-            forest.powers.append(leaf)
+            forest.powers.append((idx, 1 << k))
         else:
-            forest.buckets.setdefault((k, j), []).append(leaf)
+            forest.buckets.setdefault((k, j), []).append(idx)
     dens2 = _reference_forest_density(forest)
     dens2_bound = (1 + F(1, C)) / (1 + delta)
     assert dens2 <= dens2_bound
@@ -303,19 +291,19 @@ def _reference_main_algorithm(rates):
     assert not any(forest.buckets.values())
     final_density = _reference_forest_density(forest)
     assert final_density <= 1
-    offsets = _allocate_dyadic([nd.freq for nd in forest.powers])
+    offsets = _allocate_dyadic([f for _, f in forest.powers])
     pairs = [None] * (n + 1)
-    stack = [(nd, a, nd.freq) for nd, a in zip(forest.powers, offsets)]
+    stack = [(nd, a, f) for (nd, f), a in zip(forest.powers, offsets)]
     while stack:
         nd, a, m = stack.pop()
-        if isinstance(nd, Leaf):
-            pairs[nd.index] = (a + 1, m)
-        elif isinstance(nd, Pair):
-            stack.append((nd.left, a, 2 * m))
-            stack.append((nd.right, a + m, 2 * m))
+        if isinstance(nd, int):
+            pairs[nd] = (a + 1, m)
+        elif len(nd) == 2:  # a pair; a bundle has C + j >= 3 children
+            stack.append((nd[0], a, 2 * m))
+            stack.append((nd[1], a + m, 2 * m))
         else:
-            mm = m * len(nd.children)
-            stack.extend((ch, a + t * m, mm) for t, ch in enumerate(nd.children))
+            mm = m * len(nd)
+            stack.extend((ch, a + t * m, mm) for t, ch in enumerate(nd))
     realized = F(0)
     for i in range(1, n + 1):
         p_i, q_i = pairs[i]
@@ -410,6 +398,35 @@ def test_integer_paths_match_the_fraction_reference(name, rates):
         assert repr(evaluate_cyclic(rates, sched)) == repr(_reference_evaluate_residue(rates, sched))
 
 
+# sha256 of repr((main_algorithm(rates), two_approx(rates))) on the planted
+# inputs above.  `_reference_main_algorithm` shares its node representation
+# with `main_algorithm` and changes along with it; these digests pin the
+# schedules and diagnostics on their own.
+_PINNED = {
+    "planted-1/4-20": "102e741c904b2c52cd6c34fa132647009a5c0bae44a5e3c6a9df8f4bc214c7bd",
+    "planted-1/4-700": "9f5b760c522d11ee6a5afa94ef23d5aa1add06be2bb174b25c04d4a2f5a0f4a6",
+    "planted-1/4-3000": "9a48332374ea44ffe81f2e67ed9643a09cfd72abc27948a79d7e4482ed73ae72",
+    "planted-1/16-80": "4c25eeb6b7e36c8a90c7b8a3dbdc7a743732a29a1484db4afcb3f4068bdde025",
+    "planted-1/16-700": "f77b0e350dea4bd91a83543b9f7a3b48f922b48725a8ff8b24b6545560c50ea9",
+    "planted-1/16-3000": "695f32d7de26fc7346f37bd3365876a77f0885ec9bbf92a31be2cdd4ab334964",
+    "planted-1/64-320": "2148938a0676c2b9f1bb0e212533259f7e21a2871f2d1f1bafecc8dab08ccf2b",
+    "planted-1/64-700": "8ef63398b15074b459d6d2ac378a383ef88d7dacbd92026ea2828d2733cda09a",
+    "planted-1/64-3000": "be34c053ef19b9a0c64db1b9eba3753aff37f5f5c05024a1dfe88660ad953d4e",
+    "planted-1/256-700": "d8d363c4c69ec583775512b92b85c02749a9e7383f0f7b1f22c5c8d8f6e813e2",
+    "planted-1/256-1280": "62cda4a4a1ebc225280d14c652cd97f578226ef7a7bef251fb35b3e078e86d1f",
+    "planted-1/256-3000": "ca31da2258a02e4dcb971e7bb7ebcb3e07eed316910b6fa500f53c11c39dd952",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_planted_outputs_match_their_pinned_digests(name):
+    planted = {n: r for n, r in _DIFFERENTIAL if n.startswith("planted-")}
+    assert planted.keys() == _PINNED.keys()
+    rates = planted[name]
+    got = repr((main_algorithm(rates), two_approx(rates)))
+    assert hashlib.sha256(got.encode()).hexdigest() == _PINNED[name]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_evaluate_residue_matches_the_fraction_reference(data):
@@ -440,13 +457,11 @@ def _inflated_weights(rates):
 
 
 def _push_up(forest, layer, group, node):
-    node.freq = 1 << (layer + 1)
-    forest.powers.append(node)
+    forest.powers.append((node, 1 << (layer + 1)))
 
 
 def _push_to_one(forest, layer, group, node):
-    node.freq = 1
-    forest.powers.append(node)
+    forest.powers.append((node, 1))
 
 
 _BROKEN_STEPS = {
@@ -475,6 +490,27 @@ def test_two_approx_density_certificate_raises(monkeypatch):
         two_approx(rates)
 
 
+def _shifted_offsets(freqs):
+    return [a + (1 << 40) for a in _allocate_dyadic(freqs)]
+
+
+_TWO_APPROX_BROKEN_STEPS = {
+    # doubled periods halve the density but put every h_i * q_i above 2H
+    "h_i \\* q_i = .* exceeds 2H": ("_dyadic_schedule", lambda fs: _dyadic_schedule([2 * f for f in fs])),
+    "realized height": ("_allocate_dyadic", _shifted_offsets),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_TWO_APPROX_BROKEN_STEPS))
+def test_two_approx_certificates_raise(monkeypatch, message):
+    name, broken = _TWO_APPROX_BROKEN_STEPS[message]
+    rates = gen_planted_head(300, F(1, 16), 4)
+    two_approx(rates)  # the unbroken run certifies
+    monkeypatch.setattr(pinwheel, name, broken)
+    with pytest.raises(CertificateError, match=message):
+        two_approx(rates)
+
+
 def _run_under_O(body: str, *args: str) -> str:
     """Run `body` under python -O with bgt importable; return its stdout."""
     script = "if __debug__:\n    raise SystemExit('expected to run under python -O')\n"
@@ -495,16 +531,22 @@ def test_certificates_survive_python_O():
         from fractions import Fraction
         import bgt, bgt.pinwheel as pw
         def push_to_one(forest, layer, group, node):
-            node.freq = 1
-            forest.powers.append(node)
+            forest.powers.append((node, 1))
         pw._push_down = push_to_one
         try:
             bgt.main_algorithm(bgt.gen_planted_head(300, Fraction(1, 16), 4))
         except bgt.CertificateError as exc:
             print("raised:", exc)
+        allocate = pw._allocate_dyadic
+        pw._allocate_dyadic = lambda freqs: [a + (1 << 40) for a in allocate(freqs)]
+        try:
+            bgt.two_approx(bgt.gen_planted_head(300, Fraction(1, 16), 4))
+        except bgt.CertificateError as exc:
+            print("raised:", exc)
         """
     )
     assert out.startswith("raised: final powers-of-two density")
+    assert out.splitlines()[1].startswith("raised: realized height")
 
 
 def test_density_34_certificate_survives_python_O():
@@ -557,29 +599,33 @@ def test_frequencies_must_be_ints(decide, bad):
 
 def test_merge_identities_refuse_a_density_change():
     # q = layer makes the grid frequency 2^k + j odd: pairing two 1/3s is not 1/1
-    forest = FrequencyForest(min_layer=0, max_layer=1, q=1, C=2)
-    forest.buckets[(1, 1)] = [Leaf(1, 3), Leaf(2, 3)]
-    with pytest.raises(AssertionError, match="odd"):
-        observation1_merge(forest, 1, 1)
+    forest = FrequencyForest(min_layer=0, q=1, C=2)
+    forest.buckets[(1, 1)] = [1, 2]
+    with pytest.raises(AssertionError, match="density"):
+        _merge(forest, 1, 1)
     # C != 2^q: four copies of 1/6 do not bundle into one power of two
-    forest = FrequencyForest(min_layer=2, max_layer=2, q=1, C=3)
-    forest.buckets[(2, 1)] = [Leaf(i, 6) for i in range(1, 5)]
-    with pytest.raises(AssertionError):
-        observation2_merge(forest, 2, 1)
+    forest = FrequencyForest(min_layer=2, q=1, C=3)
+    forest.buckets[(2, 1)] = [1, 2, 3, 4]
+    with pytest.raises(AssertionError, match="density"):
+        _merge(forest, 2, 1)
+    # C = 1 != 2^q: two copies of 1/6 are one 1/3, not the power of two 1/2
+    forest = FrequencyForest(min_layer=2, q=1, C=1)
+    forest.buckets[(2, 1)] = [1, 2]
+    with pytest.raises(AssertionError, match=r"2\^\(min-q\)"):
+        _merge(forest, 2, 1)
 
 
 def test_merges_take_the_bucket_in_order():
-    forest = FrequencyForest(min_layer=2, max_layer=3, q=1, C=2)
-    leaves = [Leaf(i, 12) for i in range(1, 6)]  # grid_freq(3, 1) = 8 + 4
-    forest.buckets[(3, 1)] = list(leaves)
-    observation1_merge(forest, 3, 1)
-    assert forest.buckets[(3, 1)] == [leaves[4]]
+    forest = FrequencyForest(min_layer=2, q=1, C=2)
+    forest.buckets[(3, 1)] = [1, 2, 3, 4, 5]  # grid_freq(3, 1) = 8 + 4
+    _merge(forest, 3, 1)
+    assert forest.buckets[(3, 1)] == [5]
     lower = forest.buckets[(2, 1)]
-    assert [(p.left.index, p.right.index, p.freq) for p in lower] == [(1, 2, 6), (3, 4, 6)]
+    assert lower == [(1, 2), (3, 4)]
     assert forest.obs1_count == 2
     # C + 1 = 3 copies of 2^2 * (1 + 1/2) = 6 bundle into one 2^(2-1) = 2
-    lower.append(Leaf(6, 6))
-    observation2_merge(forest, 2, 1)
-    assert lower == []
-    assert [(len(nd.children), nd.freq) for nd in forest.powers] == [(3, 2)]
+    lower += [6, 7]
+    _merge(forest, 2, 1)
+    assert lower == [7]
+    assert forest.powers == [(((1, 2), (3, 4), 6), 2)]
     assert forest.obs2_count == 1
