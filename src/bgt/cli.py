@@ -196,34 +196,22 @@ def cmd_simulate(args) -> int:
     else:
         raise InstanceFormatError("instance", "give an instance file or --family")
 
+    rounds = args.rounds if args.rounds is not None else default_rounds
+    if rounds is None:
+        raise InstanceFormatError("rounds", "this strategy needs --rounds")
     extra: dict = {}
-    schedule_list = None
-    if args.strategy == "schedule":
-        if not args.schedule:
-            raise InstanceFormatError("schedule", "--strategy schedule needs --schedule FILE")
-        with open(args.schedule) as fp:
-            sched = load_schedule(fp)
-        report = evaluate_cyclic(rates, sched)
+    if args.strategy == "reduce-max":
+        schedule_list, report = reduce_max(rates, rounds)
     else:
-        rounds = args.rounds if args.rounds is not None else default_rounds
-        if rounds is None:
-            raise InstanceFormatError("rounds", "this strategy needs --rounds")
-        if args.strategy == "reduce-max":
-            schedule_list, report = reduce_max(rates, rounds)
-        else:
-            if args.x is None:
-                raise InstanceFormatError("x", "reduce-fastest needs --x")
-            schedule_list, report = reduce_fastest(rates, frac(args.x), rounds)
-            extra["diverging_bamboo"] = diverging_bamboo(rates, schedule_list)
+        if args.x is None:
+            raise InstanceFormatError("x", "reduce-fastest needs --x")
+        schedule_list, report = reduce_fastest(rates, frac(args.x), rounds)
+        extra["diverging_bamboo"] = diverging_bamboo(rates, schedule_list)
 
     bound = frac(args.bound) if args.bound else None
     doc = _report_doc(rates.H, report, bound)
     doc.update(extra)
     if args.trace:
-        if schedule_list is None:
-            raise InstanceFormatError(
-                "trace", "tracing needs a simulated strategy, not --strategy schedule"
-            )
         _write_trace(rates, schedule_list, args.trace)
     _emit(doc, args.report)
     return 0 if bound is None or report.global_max <= bound else 1
@@ -445,17 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     gfr.add_argument("--out")
     gfr.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("simulate", help="run an online strategy or evaluate a schedule")
+    s = sub.add_parser("simulate", help="run a greedy strategy")
     s.add_argument("instance", nargs="?", help="instance JSON (or use --family)")
-    s.add_argument(
-        "--strategy", choices=["reduce-max", "reduce-fastest", "schedule"], required=True
-    )
+    s.add_argument("--strategy", choices=["reduce-max", "reduce-fastest"], required=True)
     s.add_argument("--family", choices=["rm127", "rf-lb"])
     s.add_argument("--k", type=int, help="rm127 family parameter")
     s.add_argument("--x", help="reduce-fastest threshold factor (rational)")
     s.add_argument("--eps", help="rf-lb family parameter (rational; window as in gen rf-lb)")
     s.add_argument("--rounds", type=int)
-    s.add_argument("--schedule", help="schedule JSON for --strategy schedule")
     s.add_argument("--bound", help="certify the realized max against this rational")
     s.add_argument("--trace", help="write a per-round CSV trace here")
     s.add_argument("--report", help="also write the report JSON here")

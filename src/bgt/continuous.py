@@ -32,29 +32,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .core import CertificateError, InstanceFormatError, RateVector, ResidueSchedule, frac
+from .core import (
+    CertificateError,
+    InstanceFormatError,
+    RateVector,
+    ResidueSchedule,
+    frac,
+    integer_weights,
+)
 from .pinwheel import two_approx
 
 _INT64_LIMIT = 1 << 61  # headroom so a sum of two scaled entries cannot overflow
 
 
 def _scaled(rows) -> tuple[np.ndarray, int]:
-    """A square matrix of rationals (Fractions or ints) as integers over their
-    common denominator: (m, scale) with rows[i][j] == m[i, j] / scale, held
-    as `_reduced` holds it."""
-    dens = {x.denominator for row in rows for x in row}
-    scale = lcm(*dens)
-    mult = {d: scale // d for d in dens}
-    ints = [[x.numerator * mult[x.denominator] for x in row] for row in rows]
+    """A square matrix of rationals as integers over their common
+    denominator: (m, scale) with rows[i][j] == m[i, j] / scale, held as
+    `_reduced` holds it.  Ints and Fractions scale as they are; `frac`
+    parses the rest and refuses floats."""
+    flat = [x for row in rows for x in row]
+    if not {int, Fraction}.issuperset(map(type, flat)):  # C-speed; other types are rare
+        flat = [x if isinstance(x, (int, Fraction)) else frac(x) for x in flat]
+    ints, scale = integer_weights(flat)
     try:
-        return _reduced(np.array(ints, dtype=np.int64), scale)
+        m = np.array(ints, dtype=np.int64)
     except OverflowError:
-        return _reduced(np.array(ints, dtype=object), scale)
+        m = np.array(ints, dtype=object)
+    return _reduced(m.reshape(len(rows), -1), scale)
 
 
 def _reduced(m: np.ndarray, scale: int) -> tuple[np.ndarray, int]:
@@ -137,9 +145,8 @@ class MetricInstance:
             )
         if len(travel) != n or any(len(row) != n for row in travel):
             raise InstanceFormatError("travel", f"must be an {n}x{n} matrix (one row per rate)")
-        if scale is None:  # ints and Fractions scale as they are; frac parses the rest
-            rows = [[x if isinstance(x, (int, Fraction)) else frac(x) for x in r] for r in travel]
-            ticks, scale = _scaled(rows)
+        if scale is None:
+            ticks, scale = _scaled(travel)
         else:
             ticks, scale = _reduced(travel, scale)
         _check_travel(ticks)
@@ -223,10 +230,10 @@ def _tree(
 def mst(vertices: Sequence[int], travel) -> tuple[list[tuple[int, int]], Fraction]:
     """Prim's MST over a vertex subset (1-based ids) of a dense metric.
 
-    The travel entries (Fractions or ints) are scaled to integers over
-    their common denominator first.  Deterministic: among equal-weight
-    candidate edges the one with the smaller tree endpoint, then smaller
-    outside endpoint, wins.
+    The travel entries (rationals, as `MetricInstance` takes them) are
+    scaled to integers over their common denominator first.
+    Deterministic: among equal-weight candidate edges the one with the
+    smaller tree endpoint, then smaller outside endpoint, wins.
     """
     for v in vertices:
         if type(v) is not int or not 1 <= v <= len(travel):  # bools refused, nothing truncated

@@ -8,19 +8,21 @@ exact integers over the rates' common denominator (`integer_weights`, kept
 on each RateVector) and build a `Fraction` only for a value they report.
 Every report comes from one builder, `_report`, fed integer gaps: rounds
 for discrete replays and schedules, ticks over one common denominator for
-walks.  It builds the global and steady-state maxima at once; the
-per-bamboo maxima are built when `per_bamboo_max` is first read, one
-`Fraction` per distinct height, and a caller that reads only the maxima
-never builds them.  Cyclic schedules come in two forms, residue pairs and
-(preamble, period) lists; `next_cuts_stream` unrolls either form round by
-round.  A residue schedule is expanded by one window fill, `_window`, one
-slice assignment per bamboo: 256 rounds first, then one hyperperiod that
-repeats when it is at most 2^20 rounds and every offset is at most its
-period, else windows of 2^20 rounds.  The first round two bamboos share
-ends the stream with a ScheduleError.  `evaluate_cyclic` checks
-every residue schedule with `validate_residue` (exact, period group by
-period group, for any hyperperiod); its list path scans a preamble + 2
-periods window.
+walks.  One gap scan, `_gap_scan`, finds the gaps of both replays and of
+list schedules; a replay counts each bamboo's tail up to its horizon, and
+every height it reports is steady.  `_report` builds the global and
+steady-state maxima at once; the per-bamboo maxima are built when
+`per_bamboo_max` is first read, one `Fraction` per distinct height, and a
+caller that reads only the maxima never builds them.  Cyclic schedules
+come in two forms, residue pairs and (preamble, period) lists;
+`next_cuts_stream` unrolls either form round by round.  A residue schedule
+is expanded by one window fill, `_window`, one slice assignment per
+bamboo: 256 rounds first, then one hyperperiod that repeats when it is at
+most 2^20 rounds and every offset is at most its period, else windows of
+2^20 rounds.  The first round two bamboos share ends the stream with a
+ScheduleError.  `evaluate_cyclic` checks every residue schedule with
+`validate_residue` (exact, period group by period group, for any
+hyperperiod); its list path scans a preamble + 2 periods window.
 
 Conventions used throughout the package:
 
@@ -77,16 +79,17 @@ def frac(value) -> Fraction:
 
 
 def integer_weights(rates: RateVector | Sequence[Fraction]) -> tuple[Sequence[int], int]:
-    """Rates as integers w_i = h_i * D over their common denominator D.
+    """Rationals as integers w_i = x_i * D over their common denominator D.
 
-    A height h_i * t is then w_i * t / D, so heights compare as integers.
+    For rates, a height h_i * t is then w_i * t / D, so heights compare as
+    integers; the travel matrices of the continuous side scale the same way.
     A RateVector computes the pair once, in its constructor, and keeps it:
     pass the RateVector itself and the kept pair comes back, w as an
     array('q') when every weight is below 2^62 (8 bytes a bamboo) and as a
-    tuple otherwise.  A bare sequence of rates is converted per call, into
-    a list.  With the weights kept as arrays and reports built on first
-    read, main-corpus peak RSS rose 1.7 % (48.8 to 49.6 MB, median of 12
-    runs on 2 vCPUs), where a kept list of ints had cost 8-12 %.
+    tuple otherwise.  A bare sequence of Fractions or ints is converted per
+    call, into a list.  With the weights kept as arrays and reports built
+    on first read, main-corpus peak RSS rose 1.7 % (48.8 to 49.6 MB, median
+    of 12 runs on 2 vCPUs), where a kept list of ints had cost 8-12 %.
     """
     if isinstance(rates, RateVector):
         return rates._weights
@@ -422,22 +425,16 @@ def _report(w, d, gaps, steady_gaps, at, horizon, unit=1) -> SimulationReport:
 
 
 def _gap_scan(
-    n: int,
-    cuts: Sequence[int],
-    times: Iterable[int],
-    end: int,
-    *,
-    include_tail: bool = True,
-    steady_after: int = 0,
+    n: int, cuts: Sequence[int], times: Iterable[int], end: int, steady_after: int = 0
 ) -> tuple[list[int], list[int], list[int]]:
     """The one gap-accounting kernel behind every replayed report.
 
     Bamboo cuts[k] (0 = idle) of 1..n is cut at integer time times[k];
-    times increase strictly from 0, and the replay closes at `end`.
-    Returns each bamboo's longest gap and longest gap ending after
-    steady_after (0-based lists), and best_at, where best_at[i] is the
-    time bamboo i's first longest gap ends.  Indices are trusted here;
-    callers check them.
+    times increase strictly from 0, and the replay closes at `end`, where
+    every bamboo's tail gap counts.  Returns each bamboo's longest gap and
+    longest gap ending after steady_after (0-based lists), and best_at,
+    where best_at[i] is the time bamboo i's first longest gap ends.
+    Indices are trusted here; callers check them.
     """
     last = [0] * (n + 1)
     best_gap = [0] * (n + 1)
@@ -454,8 +451,6 @@ def _gap_scan(
             steady_gap[c] = gap
         last[c] = t
     for i in range(1, n + 1):
-        if last[i] and not include_tail:
-            continue
         gap = end - last[i]
         if gap > best_gap[i]:
             best_gap[i] = gap
@@ -465,21 +460,14 @@ def _gap_scan(
     return best_gap[1:], steady_gap[1:], best_at
 
 
-def simulate_discrete(
-    rates: RateVector,
-    schedule: Sequence[int],
-    *,
-    include_tail: bool = True,
-    steady_after: int = 0,
-) -> SimulationReport:
+def simulate_discrete(rates: RateVector, schedule: Sequence[int]) -> SimulationReport:
     """Replay an explicit finite cut sequence and report exact height maxima.
 
     Per-bamboo maximum is h_i times the largest gap between consecutive cuts
-    of i, counting the initial gap from round 0.  The tail gap from the last
-    cut to the horizon is counted unless include_tail=False (a bamboo never
-    cut within the horizon always contributes its full-window height: that
-    height really was attained).  Heights attained at rounds > steady_after
-    feed steady_state_max.
+    of i, counting the initial gap from round 0 and the tail gap from the
+    last cut to the horizon (a bamboo never cut within the horizon
+    contributes its full-window height: that height really was attained).
+    Every height counts toward steady_state_max, so it equals global_max.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -490,15 +478,8 @@ def simulate_discrete(
         raise ScheduleError(f"cut index {c!r} at round {r} is not an int")
     if min(cuts) < 0 or max(cuts) > n:
         r, c = next((r, c) for r, c in enumerate(cuts, start=1) if not 0 <= c <= n)
-        raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")
-    gaps, steady, best_at = _gap_scan(
-        n,
-        cuts,
-        range(1, len(cuts) + 1),
-        len(cuts),
-        include_tail=include_tail,
-        steady_after=steady_after,
-    )
+        raise ScheduleError(f"cut index {c} out of range 0..{n} at round {r}")
+    gaps, steady, best_at = _gap_scan(n, cuts, range(1, len(cuts) + 1), len(cuts))
     return _report(*integer_weights(rates), gaps, steady, best_at.__getitem__, len(cuts))
 
 
@@ -521,15 +502,13 @@ def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationRepor
         raise ScheduleError(f"period never cuts bamboo(s) {sorted(missing)}")
     # Every gap (initial gaps, preamble, transition, cyclic gaps) shows up in
     # the first preamble + 2 periods; the cuts in the second period close
-    # exactly the cyclic gaps, which give the steady state.
+    # exactly the cyclic gaps, which give the steady state.  Every bamboo is
+    # cut in the second period, so its tail is shorter than its wrap-around
+    # gap, which that period closes: counting the tail changes nothing.
     cuts = schedule.preamble + schedule.period + schedule.period
+    steady_after = len(schedule.preamble) + len(schedule.period)
     gaps, steady, best_at = _gap_scan(
-        rates.n,
-        cuts,
-        range(1, len(cuts) + 1),
-        len(cuts),
-        include_tail=False,
-        steady_after=len(schedule.preamble) + len(schedule.period),
+        rates.n, cuts, range(1, len(cuts) + 1), len(cuts), steady_after
     )
     return _report(*integer_weights(rates), gaps, steady, best_at.__getitem__, None)
 
@@ -566,11 +545,7 @@ def evaluate_cyclic(
 
 
 def simulate_walk(
-    instance,
-    walk: Sequence[tuple[int, Fraction]],
-    *,
-    strict: bool = False,
-    steady_after: Fraction = Fraction(0),
+    instance, walk: Sequence[tuple[int, Fraction]], *, strict: bool = False
 ) -> SimulationReport:
     """Replay a continuous walk (point, arrival time) and report exact maxima.
 
@@ -581,17 +556,15 @@ def simulate_walk(
     impossible).  With strict=True each leg must take exactly the travel
     time.  Gaps are accounted as in `simulate_discrete`, with the last
     arrival as horizon.  The replay runs in integer ticks of 1/u, u the lcm
-    of the travel matrix's denominator and those of the times and
-    `steady_after`.
+    of the travel matrix's denominator and those of the times.
     """
     if not walk:
         raise ValueError("walk must be nonempty")
     n = instance.rates.n
     points = [v for v, _ in walk]
     times = [frac(t) for _, t in walk]
-    steady_after = frac(steady_after)
     dens = {t.denominator for t in times}
-    u = lcm(instance._scale, steady_after.denominator, *dens)
+    u = lcm(instance._scale, *dens)
     mult = {q: u // q for q in dens}
     arrivals = [t.numerator * mult[t.denominator] for t in times]
     travel, m = instance._ticks, u // instance._scale  # travel[a, b] * m ticks
@@ -616,8 +589,7 @@ def simulate_walk(
                 f" != travel time {Fraction(d, u)} (strict mode)"
             )
         prev_v, prev_t = v, t
-    cut_off = steady_after.numerator * (u // steady_after.denominator)
-    gaps, steady, best_at = _gap_scan(n, points, arrivals, prev_t, steady_after=cut_off)
+    gaps, steady, best_at = _gap_scan(n, points, arrivals, prev_t)
     w, d = integer_weights(instance.rates)
     return _report(w, d, gaps, steady, lambda i: Fraction(best_at[i], u), Fraction(prev_t, u), u)
 

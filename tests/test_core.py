@@ -1,6 +1,7 @@
 """Types, validation, and the exact simulation engines."""
 
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -37,6 +38,8 @@ from bgt import (
     load_schedule,
     main_algorithm,
     next_cuts_stream,
+    reduce_fastest,
+    reduce_max,
     schedule_powers_of_two,
     schedule_to_dict,
     simulate_discrete,
@@ -353,7 +356,7 @@ def test_simulate_discrete_gap_accounting():
 
 def test_simulate_discrete_never_cut_counts_full_window():
     rates = RateVector([F(1, 2), F(1, 4)])
-    rep = simulate_discrete(rates, [1, 1, 1, 1], include_tail=False)
+    rep = simulate_discrete(rates, [1, 1, 1, 1])
     # b2 never cut: its height really reached 4 * 1/4 = 1
     assert rep.per_bamboo_max[1] == 1
 
@@ -409,11 +412,12 @@ def test_evaluate_residue_matches_stream_expansion(case):
         head, period = max(p for p, _ in sched.pairs), lcm(*(q for _, q in sched.pairs))
     else:
         head, period = len(sched.preamble), len(sched.period)
-    # every first and cyclic gap closes within head + 2 periods; ignore the cut tail
+    # every first and cyclic gap closes within head + 2 periods, and each
+    # bamboo's tail after its last cut there is below its cyclic gap
     window = list(islice(next_cuts_stream(sched), head + 2 * period))
     if isinstance(sched, ListSchedule):
         assert window == list(sched.preamble + sched.period * 2)
-    brute = simulate_discrete(rates, window, include_tail=False)
+    brute = simulate_discrete(rates, window)
     assert rep.per_bamboo_max == brute.per_bamboo_max
     assert rep.global_max == brute.global_max
 
@@ -526,7 +530,7 @@ def test_evaluate_list_matches_long_simulation():
     sched = ListSchedule((2,), (1, 2, 1, 3), 3)
     rep = evaluate_cyclic(rates, sched)
     expanded = list(sched.preamble) + list(sched.period) * 6
-    brute = simulate_discrete(rates, expanded, include_tail=False)
+    brute = simulate_discrete(rates, expanded)
     assert rep.global_max == brute.global_max
     assert rep.per_bamboo_max == brute.per_bamboo_max
 
@@ -540,7 +544,7 @@ def test_evaluate_list_supremum_is_period_stable(cuts):
     rates = RateVector([F(1, i + 1) for i in range(n)])
     sched = ListSchedule((), period, n)
     rep = evaluate_cyclic(rates, sched)
-    brute = simulate_discrete(rates, list(period) * 5, include_tail=False)
+    brute = simulate_discrete(rates, list(period) * 5)
     assert rep.global_max == brute.global_max
 
 
@@ -654,7 +658,7 @@ def _reference_simulate_discrete(rates, schedule, *, include_tail=True, steady_a
         if c == 0:
             continue
         if not 1 <= c <= n:
-            raise ScheduleError(f"cut index {c} out of range 1..{n} at round {r}")
+            raise ScheduleError(f"cut index {c} out of range 0..{n} at round {r}")
         gap = r - last[c]
         if gap > best_gap[c]:
             best_gap[c] = gap
@@ -762,12 +766,9 @@ _rates = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_rates, st.data())
 def test_simulate_discrete_matches_the_reference(rates, data):
-    # idle rounds, never-cut bamboos, tails on and off, any steady cut-off
+    # idle rounds and never-cut bamboos
     cuts = data.draw(st.lists(st.integers(0, rates.n), min_size=1, max_size=30))
-    include_tail = data.draw(st.booleans())
-    steady_after = data.draw(st.integers(0, len(cuts) + 1))
-    kw = {"include_tail": include_tail, "steady_after": steady_after}
-    _same(simulate_discrete(rates, cuts, **kw), _reference_simulate_discrete(rates, cuts, **kw))
+    _same(simulate_discrete(rates, cuts), _reference_simulate_discrete(rates, cuts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -832,12 +833,10 @@ def test_simulate_walk_matches_the_reference(seed):
     inst = gen_random_metric(rng.randint(2, 7), seed)
     for strict in (True, False):
         walk = _random_walk(inst, rng, rng.randint(1, 40), strict)
-        end = walk[-1][1]
-        for steady_after in (F(0), end / 3, end):
-            _same(
-                simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
-                _reference_simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
-            )
+        _same(
+            simulate_walk(inst, walk, strict=strict),
+            _reference_simulate_walk(inst, walk, strict=strict),
+        )
 
 
 def _huge_denominator_metric(n, seed):
@@ -861,14 +860,13 @@ def test_simulate_walk_matches_the_reference_on_huge_denominators(seed):
     inst = _huge_denominator_metric(rng.randint(3, 7), seed)
     assert inst._ticks.dtype == object
     for strict in (True, False):
+        # a non-strict walk dawdles for times whose denominators the scale
+        # lacks, so the replay's ticks must take them in
         walk = _random_walk(inst, rng, rng.randint(1, 40), strict)
-        end = walk[-1][1]
-        # 1009 is a prime the scale lacks, so the replay's ticks must take it in
-        for steady_after in (F(0), end / 2 + F(1, 1009), end):
-            _same(
-                simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
-                _reference_simulate_walk(inst, walk, strict=strict, steady_after=steady_after),
-            )
+        _same(
+            simulate_walk(inst, walk, strict=strict),
+            _reference_simulate_walk(inst, walk, strict=strict),
+        )
 
 
 @pytest.mark.parametrize("bad", [2.9, F(2), "2", True], ids=repr)
@@ -883,13 +881,11 @@ def test_simulate_walk_refuses_points_that_are_not_ints(bad):
 
 
 def test_simulate_walk_refuses_inexact_times():
-    # the replay counts integer ticks, so a float time or cut-off has no tick
+    # the replay counts integer ticks, so a float time has no tick
     inst = gen_random_metric(4, 7)
     d12 = inst.travel[0][1]
     with pytest.raises(TypeError, match="inexact"):
         simulate_walk(inst, [(2, float(d12))])
-    with pytest.raises(TypeError, match="inexact"):
-        simulate_walk(inst, [(2, d12)], steady_after=0.5)
 
 
 def test_a_steady_gap_above_the_largest_is_refused_under_python_O():
@@ -987,4 +983,55 @@ def test_walk_reports_build_their_heights_on_first_read(seed):
     rng = random.Random(seed)
     inst = gen_random_metric(rng.randint(2, 7), seed)
     walk = _random_walk(inst, rng, rng.randint(1, 40), False)
-    _check_built_on_first_read(lambda: simulate_walk(inst, walk, steady_after=walk[-1][1] / 2))
+    _check_built_on_first_read(lambda: simulate_walk(inst, walk))
+
+
+# --- reports pinned by digest ------------------------------------------------
+# sha256 of repr(report) for seeded inputs at default arguments, recorded
+# before the replays lost their tail and cut-off switches.  repr covers
+# every field, the number types included, so any drift in a report shows.
+
+_PINNED = {
+    "simulate_discrete n=1": "7a6abdb05195f2e4f9b85364f961ed99ec447853fe39a73e8370487b1cb1ac6c",
+    "evaluate_cyclic list n=1": "a8b8aa4cbadedf03309faf1607604d327c044847392c87ac7f2df234fd17f243",
+    "reduce_max n=1": "d6958b934b1d5c7e70e6a6a8539f433c8773e7ecbe6278294a358aaabdd7cfee",
+    "reduce_fastest n=1": "b085c9fc0c310c19809ab89e795330b27c3ffcbc5354ca4fc15ffac9d23ac484",
+    "simulate_discrete n=3": "84454770019d55cb4fd149a3fb59d0383a72297b67fe2bcd718519d8d1007511",
+    "evaluate_cyclic list n=3": "61b571fda1255d58433ce071a2eec1b0107b2f84855d4d84976c5443d51d4f92",
+    "reduce_max n=3": "f7787fc8e7dd11f23638c9f8a12e15de7533673dcbf74a4c6e9901ae107ee3fd",
+    "reduce_fastest n=3": "42e9d615f2115d77839a7fbbde2c1d930974eb9db1cca4b75853ab65b7d3cadc",
+    "simulate_discrete n=6": "3436903cb97aeecdfdb0a41253e5fbf6fd7fc9e636b08731dc0055026c3373aa",
+    "evaluate_cyclic list n=6": "bdbf7c8dedfd8da2cfc975587d786734823d27c045340b8b6a054b075756f63f",
+    "reduce_max n=6": "79bcea59aa2fb32106605c83d1655af399f6e406c30be849722aee1a08f8b736",
+    "reduce_fastest n=6": "f03ddd0fdff90843c8d9346bbc903bd23b2447d71d4a07fa06c6d9c9603a072d",
+    "simulate_walk seed=3 strict=True": "4045c909a9e0cf820849325590e3782d37eeb48c81fef770c81a354d041556cb",
+    "simulate_walk seed=3 strict=False": "f0233cc9f993e65e83a3ece2cf6ffcf2f54d37f43148321028cfac40f4c57858",
+    "simulate_walk seed=4 strict=True": "a86ead1358416ae7930a83ce9907a787db3396280ee1507ff1e62481c63811cc",
+    "simulate_walk seed=4 strict=False": "70ccb4a496e75921f6abdd048273bc3869f6ebb37a1e622a73caff34c9b1f5f3",
+}
+
+
+def _pinned_reports():
+    rng = random.Random(20)
+    for n in (1, 3, 6):
+        rates = RateVector.sorted_from(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+        # 0 is an idle round; for n > 1 bamboo n is never cut
+        cuts = [rng.randint(0, max(n - 1, 1)) for _ in range(40)]
+        yield f"simulate_discrete n={n}", simulate_discrete(rates, cuts)
+        period = list(range(1, n + 1)) + [rng.randint(0, n) for _ in range(5)]
+        rng.shuffle(period)
+        sched = ListSchedule(tuple(rng.randint(0, n) for _ in range(4)), tuple(period), n)
+        yield f"evaluate_cyclic list n={n}", evaluate_cyclic(rates, sched)
+        yield f"reduce_max n={n}", reduce_max(rates, 50)[1]
+        yield f"reduce_fastest n={n}", reduce_fastest(rates, F(3, 2), 50)[1]
+    for seed in (3, 4):
+        inst = gen_random_metric(rng.randint(3, 6), seed)
+        for strict in (True, False):
+            walk = _random_walk(inst, rng, 30, strict)
+            report = simulate_walk(inst, walk, strict=strict)
+            yield f"simulate_walk seed={seed} strict={strict}", report
+
+
+def test_replay_reports_match_their_pinned_digests():
+    got = {name: hashlib.sha256(repr(rep).encode()).hexdigest() for name, rep in _pinned_reports()}
+    assert got == _PINNED

@@ -84,7 +84,7 @@ def test_pinwheel_witness_satisfies_gaps():
     preamble, period = witness
     assert 0 not in period  # the witness never idles
     rates = RateVector.sorted_from([F(1, f) for f in freqs])
-    rep = simulate_discrete(rates, list(preamble) + list(period) * 3, include_tail=False)
+    rep = simulate_discrete(rates, list(preamble) + list(period) * 3)
     for i, f in enumerate(sorted(freqs)):
         # gap <= f_i <=> height <= f_i * (1/f_i) = 1
         assert rep.per_bamboo_max[i] <= 1
