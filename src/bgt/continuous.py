@@ -84,7 +84,11 @@ def _check_travel(m: np.ndarray) -> None:
     """Zero diagonal, symmetric, positive off the diagonal, triangle inequality.
 
     The first defect of a row-by-row scan is reported, a row's diagonal
-    entry before its other entries.
+    entry before its other entries.  Once m is known symmetric, the pairs
+    i < j cover every triangle, so the triangle scan visits each pair once
+    (row i breaks one when t[i][j] - t[k][j] > t[i][k] for some j > i and
+    any k); only on a defect does the per-k scan run, to name the first
+    offender.
     """
     n = len(m)
     diag = np.diagonal(m) != 0
@@ -99,6 +103,8 @@ def _check_travel(m: np.ndarray) -> None:
         if asym[i, j]:
             raise InstanceFormatError("travel", f"asymmetric: t[{i}][{j}] != t[{j}][{i}]")
         raise InstanceFormatError("travel", f"nonpositive distance t[{i}][{j}]")
+    if not any(((m[i, i + 1:] - m[:, i + 1:]).max(axis=1) > m[i]).any() for i in range(n - 1)):
+        return
     for k in range(n):
         bad = m > m[:, k][:, None] + m[k][None, :]
         if bad.any():
@@ -589,8 +595,9 @@ def gen_spiral(n: int) -> MetricInstance:
     outer): G_g, ..., G_1 with |G_i| = n/2^i and rate (3-eps)*2^i/(n*log2 n),
     then n^(2/3) filler points of rate n^(-4/3); eps = 3*n^(-2/3) makes the
     rates sum to exactly 1.  Euclidean distances are snapped up to multiples
-    of 2^-40, then closed under shortest paths so the triangle inequality
-    holds exactly.
+    of 2^-40; only if that rounding breaks a triangle (the instance check
+    refuses it) is the matrix closed under shortest paths and checked again.
+    Closing a metric changes no entry, so both paths give the same instance.
     """
     if n < 8:
         raise ValueError("spiral instances need n >= 8")
@@ -611,8 +618,6 @@ def gen_spiral(n: int) -> MetricInstance:
         for xj, yj in pts[i + 1:]
     ]
     m += m.T
-    for k in range(n):
-        np.minimum(m, m[:, k][:, None] + m[k][None, :], out=m)
     log_n = 3 * g
     eps = Fraction(3, 4**g)
     rates: list[Fraction] = []
@@ -620,7 +625,13 @@ def gen_spiral(n: int) -> MetricInstance:
         rates.extend([(3 - eps) * 2**i / (n * log_n)] * (n // 2**i))
     rates.extend([Fraction(1, 16**g)] * (4**g))
     assert len(rates) == n and sum(rates) == 1, "eps makes the groups and filler sum to 1"
-    return MetricInstance._from_ticks(RateVector(rates), m, scale)
+    rv = RateVector(rates)
+    try:
+        return MetricInstance._from_ticks(rv, m, scale)
+    except InstanceFormatError:
+        for k in range(n):
+            np.minimum(m, m[:, k][:, None] + m[k][None, :], out=m)
+        return MetricInstance._from_ticks(rv, m, scale)
 
 
 def spiral_arc_spacing(n: int) -> Fraction:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import bgt.cli
-from bgt import ResidueSchedule, load_instance
+from bgt import ResidueSchedule, gen_spiral, load_instance
 from bgt.cli import main
 
 INSTANCE_715 = '{"rates": ["7/15", "1/3", "1/5"]}\n'
@@ -216,6 +216,15 @@ def test_continuous_gen_run_and_lb(tmp_path, capsys):
     assert main(["continuous", "lb", str(inst)]) == 0
     lb = _out_doc(capsys)
     assert lb["diameter_bound"] == "1/4"  # D * h_max = 1 * 1/4
+
+
+def test_continuous_gen_spiral_round_trips(tmp_path, capsys):
+    out = tmp_path / "spiral.json"
+    assert main(["continuous", "gen", "spiral", "--n", "64", "--out", str(out)]) == 0
+    with out.open() as fp:
+        assert load_instance(fp) == gen_spiral(64)  # rebuilt and checked from rationals
+    assert main(["continuous", "gen", "spiral", "--n", "10"]) == 2
+    assert "n must be a power of 8, got 10" in capsys.readouterr().err
 
 
 def test_oracle_missing_witness_is_exit_1(inst715, capsys, monkeypatch):

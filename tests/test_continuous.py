@@ -1,9 +1,11 @@
 """Continuous patrols: metrics, MST tours, the three algorithms, lower bounds."""
 
+import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -36,7 +38,15 @@ from bgt import (
     two_cluster_sweep,
 )
 from bgt import continuous
-from bgt.continuous import ClassTour, TourState, _class_tour, _patrol, _scaled, _tree
+from bgt.continuous import (
+    ClassTour,
+    TourState,
+    _check_travel,
+    _class_tour,
+    _patrol,
+    _scaled,
+    _tree,
+)
 
 
 def _line_instance(coords, rates):
@@ -137,6 +147,56 @@ def test_travel_is_a_cached_read_only_view():
     for name, value in (("travel", ()), ("start", 2), ("rates", TWO_PT.rates)):
         with pytest.raises(AttributeError):
             setattr(inst, name, value)
+
+
+def _reference_check_travel(m):
+    """_check_travel with the triangle inequality scanned over all pairs for
+    every k: the half-matrix scan's reference, messages included."""
+    n = len(m)
+    diag = np.diagonal(m) != 0
+    asym = np.triu(m != m.T, 1)
+    nonpos = np.triu(m <= 0, 1)
+    rows = np.flatnonzero(diag | asym.any(axis=1) | nonpos.any(axis=1))
+    if rows.size:
+        i = int(rows[0])
+        if diag[i]:
+            raise InstanceFormatError("travel", f"nonzero diagonal entry t[{i}][{i}]")
+        j = int(np.flatnonzero(asym[i] | nonpos[i])[0])
+        if asym[i, j]:
+            raise InstanceFormatError("travel", f"asymmetric: t[{i}][{j}] != t[{j}][{i}]")
+        raise InstanceFormatError("travel", f"nonpositive distance t[{i}][{j}]")
+    for k in range(n):
+        bad = m > m[:, k][:, None] + m[k][None, :]
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise InstanceFormatError(
+                "travel",
+                f"triangle inequality violated: t[{i}][{j}] > t[{i}][{k}] + t[{k}][{j}]",
+            )
+
+
+def _verdict(check, m):
+    try:
+        check(m)
+    except InstanceFormatError as err:
+        return str(err)
+    return None
+
+
+def test_triangle_scan_matches_the_per_k_scan():
+    # symmetric, zero diagonal, entries 1..12: most of these break a triangle
+    rng = random.Random(2024)
+    defective = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.triu_indices(n, 1)] = [rng.randint(1, 12) for _ in range(n * (n - 1) // 2)]
+        m += m.T
+        want = _verdict(_reference_check_travel, m)
+        defective += want is not None
+        for kind in (np.int64, object):
+            assert _verdict(_check_travel, m.astype(kind)) == want, m.tolist()
+    assert 2000 < defective < 2700  # both verdicts are well represented
 
 
 def test_bool_start_is_refused_on_both_paths():
@@ -496,6 +556,52 @@ def test_spiral64_group_sizes():
     assert sum(r * c for r, c in counts.items()) == 1
     # the fastest rate belongs to the innermost (smallest) spiral group
     assert counts[max(counts)] == 16
+
+
+def _floyd_warshall(m):
+    m = m.copy()
+    for k in range(len(m)):
+        np.minimum(m, m[:, k][:, None] + m[k][None, :], out=m)
+    return m
+
+
+def test_spiral_closes_its_matrix_when_a_rounding_breaks_a_triangle(monkeypatch):
+    # stretch the second distance computed, t[0][2], far past t[0][1] + t[1][2]
+    calls = count()
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xy: hypot(*xy) * (3 if next(calls) == 1 else 1))
+    checked = []
+
+    def spy(m):
+        checked.append(m.copy())
+        _check_travel(m)
+
+    monkeypatch.setattr(continuous, "_check_travel", spy)
+    inst = gen_spiral(8)
+    snapped, _ = checked  # refused once, then accepted after the closure
+    assert snapped[0, 2] > snapped[0, 1] + snapped[1, 2]
+    assert _verdict(_check_travel, snapped).startswith("travel: triangle inequality violated")
+    assert np.array_equal(inst._ticks, _floyd_warshall(snapped))
+    _check_travel(inst._ticks)
+
+
+def _spiral_digest(inst):
+    h = hashlib.sha256(inst._ticks.tobytes())
+    h.update(f"{inst._ticks.dtype} {inst._scale} {' '.join(map(str, inst.rates.rates))}".encode())
+    return h.hexdigest()
+
+
+# sha256 of gen_spiral(n)'s ticks, dtype, scale and rates, as the generator
+# built them when it closed every matrix under shortest paths
+_SPIRAL_DIGESTS = {
+    8: "e381b545ba7a585111bcd610f184475de97354285a4f02b5a2ed1a86959222b2",
+    64: "c201b13ebe343cc3780d4af67228b83a285d4fc04fa01b72ab000bddcc4e35e0",
+    512: "b836cc6b78f0806be142ed613c79ff9bf0399df8650ba532f6919ec11ea30e71",
+}
+
+
+def test_spiral_instances_match_their_pinned_digests():
+    assert {n: _spiral_digest(gen_spiral(n)) for n in _SPIRAL_DIGESTS} == _SPIRAL_DIGESTS
 
 
 def test_two_cluster_layout():
