@@ -12,11 +12,19 @@ patrol strategies trade generality for height guarantees:
   sweeping the negligible-rate points (V_0) one per outer iteration
   (class gap <= (3s+1)(D + 2*MST(V_i)), V_0 gap <= (3Ds+D)*|V_0|).
 
+Each algorithm is one plan, built per call: the classes it walks, each
+class's MST built once for both its Euler tour and its term of the
+certified bound, and the reach of one class visit.  Algorithm 1 (and
+algorithm 2 on equal rates) is the one-class patrol whose visits are whole
+tours.  One walk driver, `_patrol`, steps the tours of every plan and of
+the two-cluster sweep; the callers stop it at a horizon or after a number
+of outer iterations.
+
 Travel times are exact rationals, held once as integer ticks over their
 common denominator (int64 when they fit, Python ints otherwise).
 Validation, the one Prim MST kernel behind tours and certificates, the MST
 lower bound (its own Kruskal, incremental over rate prefixes) and the walk
-builders all run on that integer matrix; Fractions are built only at the
+driver all run on that integer matrix; Fractions are built only at the
 edge: the cached `travel` view, walk times, bounds and reports.
 
 Also here: Euler tours, the diameter and MST lower bounds, the
@@ -31,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -224,13 +232,11 @@ def _prim(m: np.ndarray, verts: Sequence[int]) -> tuple[list[tuple[int, int]], i
     return edges, total
 
 
-def _tree(
-    instance: MetricInstance, members: Sequence[int]
-) -> tuple[list[tuple[int, int]], Fraction]:
-    """`mst` over sorted `members` on the instance's integer travel matrix."""
+def _tree(instance: MetricInstance, members: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """`mst` over sorted `members` on the instance's integer travel matrix,
+    its weight in ticks."""
     idx = np.asarray(members, dtype=np.intp) - 1
-    edges, w = _prim(instance._ticks[np.ix_(idx, idx)], members)
-    return edges, Fraction(w, instance._scale)
+    return _prim(instance._ticks[np.ix_(idx, idx)], members)
 
 
 def mst(vertices: Sequence[int], travel) -> tuple[list[tuple[int, int]], Fraction]:
@@ -307,93 +313,55 @@ class TourState:
     v0_next: int = 0
 
 
-def _class_tour(instance: MetricInstance, members: Sequence[int]) -> ClassTour:
-    members = sorted(members)
-    edges, _ = _tree(instance, members)
-    tour = tuple(euler_tour(edges, members[0])[:-1]) if len(members) > 1 else (members[0],)
-    srow = instance._ticks[instance.start - 1].tolist()
-    cursor = min(range(len(tour)), key=lambda k: (srow[tour[k] - 1], k))
-    return ClassTour(tour, cursor)
+def _class_tour(edges, root: int, srow: list[int]) -> ClassTour:
+    """A class tree's cyclic Euler tour from `root`, its cursor on the first
+    tour position nearest the start (`srow`: the start's travel row)."""
+    tour = tuple(euler_tour(edges, root)[:-1]) or (root,)
+    dist = [srow[v - 1] for v in tour]
+    return ClassTour(tour, dist.index(min(dist)))
 
 
-def _horizon_ticks(instance: MetricInstance, horizon_time) -> int:
-    """ceil(horizon * scale): a walk time of t ticks is before the horizon
-    exactly when t is below this."""
-    horizon = frac(horizon_time)
-    if horizon <= 0:
-        raise ValueError("horizon_time must be positive")
-    return -(-horizon.numerator * instance._scale // horizon.denominator)
-
-
-def _timed(walk, scale: int) -> list[tuple[int, Fraction]]:
-    """(point, time in ticks) legs as (point, exact arrival time)."""
-    return [(v, Fraction(t, scale)) for v, t in walk]
-
-
-def _patrol(
-    instance: MetricInstance,
-    state: TourState,
-    *,
-    horizon: Fraction | None = None,
-    cycles: int | None = None,
-) -> list[tuple[int, Fraction]]:
+def _patrol(instance: MetricInstance, state: TourState, reach: int):
     """Round-robin the classes (ascending), one V_0 point per outer iteration.
 
     Each class visit resumes its tour at the cursor and walks tour edges
-    until the distance covered inside the class reaches the diameter D,
+    until the distance covered inside the class reaches `reach` ticks,
     stopping at the vertex where that happens; single-point classes are
-    simply visited.  Runs until the walk time reaches `horizon` or for
-    exactly `cycles` outer iterations.  Distances and times are ticks.
+    simply visited.  Steps `state` in place and yields after each outer
+    iteration the walk so far: one list of (point, exact arrival time) legs,
+    extended in place.  The caller's stop rule ends the patrol.
     """
-    if (horizon is None) == (cycles is None):
-        raise ValueError("give exactly one of horizon or cycles")
-    limit = None if horizon is None else _horizon_ticks(instance, horizon)
     travel = instance._ticks.item  # travel(a, b): a Python int for either dtype
-    D = int(instance._ticks.max())
+    scale = instance._scale
     t = 0
     pos = instance.start
-    walk: list[tuple[int, int]] = []
+    walk: list[tuple[int, Fraction]] = []
 
     def go(v: int) -> None:
         nonlocal t, pos
         if v != pos:
             t += travel(pos - 1, v - 1)
             pos = v
-            walk.append((v, t))
+            walk.append((v, Fraction(t, scale)))
 
-    done = 0
-    while (t < limit) if cycles is None else (done < cycles):
+    while True:
         for ct in state.classes:
-            go(ct.tour[ct.cursor])
+            tour, k = ct.tour, ct.cursor
+            go(tour[k])
             entered = t  # the distance covered inside the class is t - entered
-            while len(ct.tour) > 1 and t - entered < D:
-                ct.cursor = (ct.cursor + 1) % len(ct.tour)
-                go(ct.tour[ct.cursor])
+            while len(tour) > 1 and t - entered < reach:
+                k = (k + 1) % len(tour)
+                go(tour[k])
+            ct.cursor = k
         if state.v0:
             go(state.v0[state.v0_next % len(state.v0)])
             state.v0_next += 1
-        done += 1
-    return _timed(walk, instance._scale)
+        yield walk
 
 
 # ---------------------------------------------------------------------------
 # The three patrol algorithms
 # ---------------------------------------------------------------------------
-
-
-def algorithm1(instance: MetricInstance, horizon_time) -> list[tuple[int, Fraction]]:
-    """Repeat an Euler tour of the global MST until `horizon_time`.
-
-    Every point recurs within one tour length, so each gap is at most
-    2*MST(V) and every height at most 2*MST(V)*h_max.  Each tour takes
-    exactly 2*MST(V), so the walk is ceil(horizon / (2*MST(V))) tours.
-    """
-    limit = _horizon_ticks(instance, horizon_time)
-    edges, w = _prim(instance._ticks, range(1, instance.n + 1))
-    closed = euler_tour(edges, instance.start)
-    legs = [instance._ticks.item(u - 1, v - 1) for u, v in zip(closed, closed[1:])]
-    tours = -(-limit // (2 * w))
-    return _timed(zip(closed[1:] * tours, accumulate(legs * tours)), instance._scale)
 
 
 def algorithm2_classes(instance: MetricInstance) -> list[list[int]]:
@@ -411,20 +379,6 @@ def algorithm2_classes(instance: MetricInstance) -> list[list[int]]:
         q = rs.rate(i) / hmin
         classes[(q.numerator // q.denominator).bit_length() - 1].append(i)
     return classes
-
-
-def algorithm2(instance: MetricInstance, horizon_time) -> list[tuple[int, Fraction]]:
-    """Class round-robin patrol with D-length tour visits.
-
-    With s = floor(log2(h_max/h_min)) + 1 classes, a class-i point's gap is
-    at most 3s*(D + 2*MST(V_i)).  Equal-rate instances fall back to
-    algorithm1 (a single class needs no round-robin).
-    """
-    rs = instance.rates
-    if rs.rates[0] == rs.rates[-1]:
-        return algorithm1(instance, horizon_time)
-    tours = [_class_tour(instance, c) for c in algorithm2_classes(instance) if c]
-    return _patrol(instance, TourState(tours, ()), horizon=horizon_time)
 
 
 def algorithm3_classes(instance: MetricInstance) -> tuple[list[int], list[list[int]]]:
@@ -446,6 +400,72 @@ def algorithm3_classes(instance: MetricInstance) -> tuple[list[int], list[list[i
     return v0, classes
 
 
+def _plan(instance: MetricInstance, algo: int) -> tuple[TourState, int, Fraction]:
+    """Algorithm `algo`'s patrol: its starting state, the reach of one class
+    visit in ticks, and the height bound it certifies (`certificate_bound`).
+
+    Algorithm 1, and algorithm 2 when all rates are equal (a single class
+    needs no round-robin), walk one class: the global MST's Euler tour from
+    the start, one whole tour (2*MST(V)) per visit.  Otherwise every
+    nonempty class of `algorithm2_classes` or `algorithm3_classes` is
+    visited for D.  Each class's MST is built once, for its tour and its
+    term of the bound.
+    """
+    if type(algo) is not int or algo not in (1, 2, 3):  # True, 2.0 and Fraction(3) name none
+        raise ValueError(f"algo must be 1, 2 or 3, got {algo!r}")
+    rs = instance.rates
+    h, den = integer_weights(rs)  # h[i - 1] / den is point i's rate
+    over = instance._scale * den  # a height is (ticks * rate weight) / over
+    srow = instance._ticks[instance.start - 1].tolist()
+    if algo == 1 or (algo == 2 and rs.rates[0] == rs.rates[-1]):
+        edges, w = _tree(instance, range(1, instance.n + 1))
+        tour = _class_tour(edges, instance.start, srow)
+        return TourState([tour], ()), 2 * w, Fraction(2 * w * h[0], over)
+    v0, classes = ([], algorithm2_classes(instance)) if algo == 2 else algorithm3_classes(instance)
+    s = len(classes)
+    factor = 3 * s if algo == 2 else 3 * s + 1
+    D = int(instance._ticks.max())
+    tours: list[ClassTour] = []
+    best = 0
+    for members in filter(None, classes):  # ascending, so members[0] has the highest rate
+        edges, w = _tree(instance, members)
+        tours.append(_class_tour(edges, members[0], srow))
+        best = max(best, (D + 2 * w) * h[members[0] - 1])
+    if v0:
+        best = max(best, D * len(v0) * h[v0[0] - 1])
+    return TourState(tours, tuple(v0)), D, Fraction(factor * best, over)
+
+
+def _walk(instance: MetricInstance, algo: int, horizon_time) -> list[tuple[int, Fraction]]:
+    """Algorithm `algo`'s patrol in whole outer iterations, until its walk
+    time reaches `horizon_time`."""
+    horizon = frac(horizon_time)
+    if horizon <= 0:
+        raise ValueError("horizon_time must be positive")
+    state, reach, _ = _plan(instance, algo)
+    return next(walk for walk in _patrol(instance, state, reach) if walk[-1][1] >= horizon)
+
+
+def algorithm1(instance: MetricInstance, horizon_time) -> list[tuple[int, Fraction]]:
+    """Repeat an Euler tour of the global MST until `horizon_time`.
+
+    Every point recurs within one tour length, so each gap is at most
+    2*MST(V) and every height at most 2*MST(V)*h_max.  Each tour takes
+    exactly 2*MST(V), so the walk is ceil(horizon / (2*MST(V))) tours.
+    """
+    return _walk(instance, 1, horizon_time)
+
+
+def algorithm2(instance: MetricInstance, horizon_time) -> list[tuple[int, Fraction]]:
+    """Class round-robin patrol with D-length tour visits.
+
+    With s = floor(log2(h_max/h_min)) + 1 classes, a class-i point's gap is
+    at most 3s*(D + 2*MST(V_i)).  Equal-rate instances walk algorithm1's
+    patrol (a single class needs no round-robin).
+    """
+    return _walk(instance, 2, horizon_time)
+
+
 def algorithm3(instance: MetricInstance, horizon_time) -> list[tuple[int, Fraction]]:
     """algorithm2's round-robin re-anchored at n^-2, with one negligible-rate
     (V_0) point visited per outer iteration.
@@ -453,9 +473,7 @@ def algorithm3(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     Class-i gaps are at most (3s+1)(D + 2*MST(V_i)) for s = ceil(2*log2 n);
     V_0 gaps at most (3Ds + D)*|V_0|.
     """
-    v0, classes = algorithm3_classes(instance)
-    tours = [_class_tour(instance, c) for c in classes if c]
-    return _patrol(instance, TourState(tours, tuple(v0)), horizon=horizon_time)
+    return _walk(instance, 3, horizon_time)
 
 
 def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
@@ -466,30 +484,8 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
     equal, matching the delegation).  algorithm3: max over classes of
     (3s+1)*(D + 2*MST(V_i))*h_max(V_i) and (3Ds+D)*|V_0|*h_max(V_0).
     """
-    rs = instance.rates
-    D = instance.diameter
-    if algo == 1 or (algo == 2 and rs.rates[0] == rs.rates[-1]):
-        _, w = _tree(instance, range(1, instance.n + 1))
-        return 2 * w * rs.rates[0]
-    if algo == 2:
-        v0, classes = [], algorithm2_classes(instance)
-    elif algo == 3:
-        v0, classes = algorithm3_classes(instance)
-    else:
-        raise ValueError(f"algo must be 1, 2 or 3, got {algo}")
-    s = len(classes)
-    factor = 3 * s if algo == 2 else 3 * s + 1
-    best = Fraction(0)
-    for cls in classes:
-        if not cls:
-            continue
-        _, w = _tree(instance, cls)
-        hmax = max(rs.rate(i) for i in cls)
-        best = max(best, factor * (D + 2 * w) * hmax)
-    if v0:
-        hmax0 = max(rs.rate(i) for i in v0)
-        best = max(best, (3 * D * s + D) * len(v0) * hmax0)
-    return best
+    _, _, bound = _plan(instance, algo)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +684,7 @@ def two_cluster_sweep(instance: MetricInstance, cycles: int = 3) -> list[tuple[i
     if not away:
         raise ValueError("no far cluster: not a two-cluster instance")
     sweep = [ClassTour((v,), 0) for v in home + away]  # one-point classes, visited in turn
-    return _patrol(instance, TourState(sweep, ()), cycles=cycles)
+    return next(islice(_patrol(instance, TourState(sweep, ()), D), cycles - 1, None))
 
 
 def gen_random_metric(n: int, seed: int) -> MetricInstance:

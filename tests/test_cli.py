@@ -200,6 +200,27 @@ def test_bench_is_deterministic(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def test_bench_fills_the_oracle_columns_up_to_the_cap(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--count", "6", "--seed", "3", "--head-ratio", "1/2",
+                 "--n-max", "6", "--oracle-max-n", "5", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert sorted({row["n"] for row in rows}) == ["5", "6"]  # both sides of the cap
+    for row in rows:
+        if int(row["n"]) <= 5:
+            realized, opt = F(row["realized_max"]), F(row["oracle_opt"])
+            assert F(row["ratio_vs_oracle"]) == realized / opt >= 1
+        else:
+            assert row["oracle_opt"] == row["ratio_vs_oracle"] == ""
+
+
+def test_approx_d34_reports_frequencies_below_three_quarters(inst715, capsys):
+    assert main(["approx", "d34", inst715]) == 0
+    doc = _out_doc(capsys)
+    assert doc == {"frequencies": [3, 5, 9], "density": "29/45"}  # delta = 1/3 + 7/15
+    assert F(doc["density"]) < F(3, 4)
+
+
 def test_continuous_gen_run_and_lb(tmp_path, capsys):
     inst = tmp_path / "clusters.json"
     assert main(["continuous", "gen", "clusters", "--n", "8",

@@ -5,7 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, count
+from itertools import combinations, count, islice
 
 import numpy as np
 import pytest
@@ -42,8 +42,8 @@ from bgt.continuous import (
     ClassTour,
     TourState,
     _check_travel,
-    _class_tour,
     _patrol,
+    _plan,
     _scaled,
     _tree,
 )
@@ -309,7 +309,8 @@ def test_mst_matches_the_fraction_reference(inst):
     for sub in subsets:
         expected = _reference_mst(sub, inst.travel)
         assert mst(sub, inst.travel) == expected
-        assert _tree(inst, sub) == expected
+        edges, w = _tree(inst, sub)
+        assert (edges, F(w, inst._scale)) == expected
 
 
 def test_huge_denominators_take_the_python_int_path():
@@ -370,6 +371,13 @@ def test_algorithm2_delegates_to_algorithm1_on_equal_rates():
     assert certificate_bound(inst, 2) == certificate_bound(inst, 1) == 3
 
 
+@pytest.mark.parametrize("algo", [True, 2.0, 3.0, F(3)], ids=repr)
+def test_certificate_bound_refuses_an_algo_that_is_not_the_int_1_2_or_3(algo):
+    # each compares equal to 1, 2 or 3, but none names an algorithm
+    with pytest.raises(ValueError, match="algo must be 1, 2 or 3"):
+        certificate_bound(TWO_PT, algo)
+
+
 # --- class assignments -----------------------------------------------------
 
 def test_algorithm2_classes_boundaries():
@@ -406,14 +414,17 @@ def test_random_metrics_meet_their_certificates():
 
 # --- patrol periodicity ------------------------------------------------------
 
-def _fresh_state(inst, algo=3):
-    v0, classes = ([], algorithm2_classes(inst)) if algo == 2 else algorithm3_classes(inst)
-    return TourState([_class_tour(inst, c) for c in classes if c], tuple(v0))
+def _cycles(inst, state, reach, k):
+    """The patrol's walk after k outer iterations."""
+    walk = []
+    for walk in islice(_patrol(inst, state, reach), k):
+        pass
+    return walk
 
 
 def _run_cycles(inst, k):
-    state = _fresh_state(inst)
-    walk = _patrol(inst, state, cycles=k)
+    state, reach, _ = _plan(inst, 3)
+    walk = _cycles(inst, state, reach, k)
     pos = walk[-1][0] if walk else inst.start
     snap = (
         tuple(ct.cursor for ct in state.classes),
@@ -731,9 +742,56 @@ def test_integer_walks_match_the_fraction_reference(inst):
             assert all(type(v) is int and type(t) is F for v, t in walk)
     for algo in (2, 3):
         for k in (1, 2, 5):
-            state, ref = _fresh_state(inst, algo), _reference_state(inst, algo)
+            (state, reach, _), ref = _plan(inst, algo), _reference_state(inst, algo)
             assert state == ref  # the same tours and starting cursors
-            assert _patrol(inst, state, cycles=k) == _reference_patrol(inst, ref, cycles=k)
+            assert _cycles(inst, state, reach, k) == _reference_patrol(inst, ref, cycles=k)
             assert state == ref  # and the same cursors after k cycles
     for k in (1, 2, 3):
         assert two_cluster_sweep(inst, k) == _reference_sweep(inst, k)
+
+
+def _patrol_digest_instances():
+    yield from (
+        (f"random-n{n}", gen_random_metric(n, seed))
+        for seed, n in enumerate([2, 3, 9, 40], start=11)
+    )
+    yield "spiral-64", gen_spiral(64)
+    yield "two-cluster-64", gen_two_cluster(64, F(3, 7))
+    # algorithm 2 walks algorithm 1's tour here, and that tour, taken from
+    # the start, is not the tour from point 1 turned to begin at the start
+    equal = _metric(9, 5, [F(2), F(3)])
+    yield "equal-rates-start-3", MetricInstance(equal.rates, equal.travel, start=3)
+    yield "huge-denominator", _huge_denominator_metric(12, 3, rates=[5] * 3 + [2] * 4 + [1] * 5)
+
+
+def _patrol_digest(inst):
+    _, w = mst(list(range(1, inst.n + 1)), inst.travel)
+    h = 2 * (inst.diameter + 2 * w)
+    parts = []
+    for algo, run in ((1, algorithm1), (2, algorithm2), (3, algorithm3)):
+        parts.append(certificate_bound(inst, algo))
+        parts.extend(run(inst, horizon) for horizon in (h, h / 3, F(1, 10**6)))
+    for k in (1, 2, 3):
+        parts.append(two_cluster_sweep(inst, k))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# sha256 of each instance's walks (algorithms 1-3 at three horizons), its
+# three certified bounds and its two-cluster sweeps of 1-3 cycles, as the
+# algorithms built them when algorithm 1 had a walk of its own and the
+# patrol ran until a horizon or for a number of cycles
+_PATROL_DIGESTS = {
+    "random-n2": "581a216d3b1923668e6655003ff3283e5d901548077c8170edc01558540d47b3",
+    "random-n3": "43f00a320bc1caf4cc6aebf65eb8e0fa30c32caadaa593a20d265861dcdc6956",
+    "random-n9": "ebcc14b7dc352c886c5788bf156f50661fb30558700ae71939a7a8df1d4f6d4c",
+    "random-n40": "5f4205ebb0a75d6b8d49756c634c55e5a138b0e4065ffe9c1dc5da2a464f053b",
+    "spiral-64": "d8495d3186a11d3fb00609d134974db2722940418dcc900217d1e63ce38f38f2",
+    "two-cluster-64": "5bd3eac98241ced28be23be29f77f0f0b8f049ca48d02ebe551eded7880cc89e",
+    "equal-rates-start-3": "e8a44634964442c8431a5f57a8679334e8caa7915a9b03a086c5889835e30d7a",
+    "huge-denominator": "67a7ea08e4abb4b5d53f5d8f79a69af805fc31f1a2d5343dd66695b612b40612",
+}
+
+
+def test_patrols_match_their_pinned_digests():
+    got = {name: _patrol_digest(inst) for name, inst in _patrol_digest_instances()}
+    assert got == _PATROL_DIGESTS
