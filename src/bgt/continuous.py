@@ -12,9 +12,9 @@ patrol strategies trade generality for height guarantees:
   sweeping the negligible-rate points (V_0) one per outer iteration
   (class gap <= (3s+1)(D + 2*MST(V_i)), V_0 gap <= (3Ds+D)*|V_0|).
 
-Each algorithm is one plan, built per call: the classes it walks, each
-class's MST built once for both its Euler tour and its term of the
-certified bound, and the reach of one class visit.  Algorithm 1 (and
+Each algorithm is one plan, built per call: the classes it walks with
+each class's MST (built once, for its term of the certified bound and, in
+a walk, for its Euler tour), and the reach of one class visit.  Algorithm 1 (and
 algorithm 2 on equal rates) is the one-class patrol whose visits are whole
 tours.  One walk driver, `_patrol`, steps the tours of every plan and of
 the two-cluster sweep; the callers stop it at a horizon or after a number
@@ -400,40 +400,43 @@ def algorithm3_classes(instance: MetricInstance) -> tuple[list[int], list[list[i
     return v0, classes
 
 
-def _plan(instance: MetricInstance, algo: int) -> tuple[TourState, int, Fraction]:
-    """Algorithm `algo`'s patrol: its starting state, the reach of one class
-    visit in ticks, and the height bound it certifies (`certificate_bound`).
+def _plan(
+    instance: MetricInstance, algo: int
+) -> tuple[list[tuple[list[tuple[int, int]], int]], tuple[int, ...], int, Fraction]:
+    """Algorithm `algo`'s patrol: each walked class's MST edges and tour
+    root, V_0, the reach of one class visit in ticks, and the height bound
+    it certifies (`certificate_bound`).
 
     Algorithm 1, and algorithm 2 when all rates are equal (a single class
     needs no round-robin), walk one class: the global MST's Euler tour from
     the start, one whole tour (2*MST(V)) per visit.  Otherwise every
     nonempty class of `algorithm2_classes` or `algorithm3_classes` is
-    visited for D.  Each class's MST is built once, for its tour and its
-    term of the bound.
+    visited for D, its tour rooted at its fastest point.  Each class's MST
+    is built once, for its term of the bound and for the walk's tour.
     """
     if type(algo) is not int or algo not in (1, 2, 3):  # True, 2.0 and Fraction(3) name none
         raise ValueError(f"algo must be 1, 2 or 3, got {algo!r}")
     rs = instance.rates
     h, den = integer_weights(rs)  # h[i - 1] / den is point i's rate
     over = instance._scale * den  # a height is (ticks * rate weight) / over
-    srow = instance._ticks[instance.start - 1].tolist()
     if algo == 1 or (algo == 2 and rs.rates[0] == rs.rates[-1]):
         edges, w = _tree(instance, range(1, instance.n + 1))
-        tour = _class_tour(edges, instance.start, srow)
-        return TourState([tour], ()), 2 * w, Fraction(2 * w * h[0], over)
+        return [(edges, instance.start)], (), 2 * w, Fraction(2 * w * h[0], over)
     v0, classes = ([], algorithm2_classes(instance)) if algo == 2 else algorithm3_classes(instance)
     s = len(classes)
     factor = 3 * s if algo == 2 else 3 * s + 1
     D = int(instance._ticks.max())
-    tours: list[ClassTour] = []
+    trees = []
     best = 0
     for members in filter(None, classes):  # ascending, so members[0] has the highest rate
         edges, w = _tree(instance, members)
-        tours.append(_class_tour(edges, members[0], srow))
+        trees.append((edges, members[0]))
         best = max(best, (D + 2 * w) * h[members[0] - 1])
-    if v0:
-        best = max(best, D * len(v0) * h[v0[0] - 1])
-    return TourState(tours, tuple(v0)), D, Fraction(factor * best, over)
+    # V_0's term, (3s+1)*D*|V_0|*h_max(V_0), is never the largest: rates sum
+    # to 1 over n >= 2 points, so point 1 has h_1 >= 1/n > n^-2 and its
+    # class gives at least (3s+1)*D*h_1 >= (3s+1)*D/n, while |V_0| <= n - 1
+    # and h <= n^-2 on V_0 give |V_0|*h_max(V_0) < 1/n.
+    return trees, tuple(v0), D, Fraction(factor * best, over)
 
 
 def _walk(instance: MetricInstance, algo: int, horizon_time) -> list[tuple[int, Fraction]]:
@@ -442,7 +445,9 @@ def _walk(instance: MetricInstance, algo: int, horizon_time) -> list[tuple[int, 
     horizon = frac(horizon_time)
     if horizon <= 0:
         raise ValueError("horizon_time must be positive")
-    state, reach, _ = _plan(instance, algo)
+    trees, v0, reach, _ = _plan(instance, algo)
+    srow = instance._ticks[instance.start - 1].tolist()
+    state = TourState([_class_tour(edges, root, srow) for edges, root in trees], v0)
     return next(walk for walk in _patrol(instance, state, reach) if walk[-1][1] >= horizon)
 
 
@@ -471,7 +476,8 @@ def algorithm3(instance: MetricInstance, horizon_time) -> list[tuple[int, Fracti
     (V_0) point visited per outer iteration.
 
     Class-i gaps are at most (3s+1)(D + 2*MST(V_i)) for s = ceil(2*log2 n);
-    V_0 gaps at most (3Ds + D)*|V_0|.
+    V_0 gaps at most (3Ds + D)*|V_0|.  The heights of those V_0 gaps stay
+    below point 1's class term, so `certificate_bound` is the classes' max.
     """
     return _walk(instance, 3, horizon_time)
 
@@ -482,9 +488,11 @@ def certificate_bound(instance: MetricInstance, algo: int) -> Fraction:
     algorithm1: 2*MST(V)*h_max.  algorithm2: max over nonempty classes of
     3s*(D + 2*MST(V_i))*h_max(V_i) (algorithm1's bound when all rates are
     equal, matching the delegation).  algorithm3: max over classes of
-    (3s+1)*(D + 2*MST(V_i))*h_max(V_i) and (3Ds+D)*|V_0|*h_max(V_0).
+    (3s+1)*(D + 2*MST(V_i))*h_max(V_i); V_0's height bound
+    (3Ds+D)*|V_0|*h_max(V_0) is always below point 1's class term, so it
+    never enters the maximum.  No Euler tour is built.
     """
-    _, _, bound = _plan(instance, algo)
+    *_, bound = _plan(instance, algo)
     return bound
 
 

@@ -6,14 +6,15 @@ accounting, so approximation guarantees are checked as hard inequalities.
 Rates come in as `fractions.Fraction`s; the hot paths compare heights as
 exact integers over the rates' common denominator (`integer_weights`, kept
 on each RateVector) and build a `Fraction` only for a value they report.
-Every report comes from one builder, `_report`, fed integer gaps: rounds
+A report is its heights: each bamboo's largest height, the largest of
+them, and the lowest bamboo that attains it.  Every report comes from one
+builder, `_report`, fed each bamboo's longest gap in integer units: rounds
 for discrete replays and schedules, ticks over one common denominator for
 walks.  One gap scan, `_gap_scan`, finds the gaps of both replays and of
-list schedules; a replay counts each bamboo's tail up to its horizon, and
-every height it reports is steady.  `_report` builds the global and
-steady-state maxima at once; the per-bamboo maxima are built when
+list schedules, each bamboo's tail up to the end included.  `_report`
+builds the global maximum at once; the per-bamboo maxima are built when
 `per_bamboo_max` is first read, one `Fraction` per distinct height, and a
-caller that reads only the maxima never builds them.  Cyclic schedules
+caller that reads only the maximum never builds them.  Cyclic schedules
 come in two forms, residue pairs and (preamble, period) lists;
 `next_cuts_stream` unrolls either form round by round.  A residue schedule
 is expanded by one window fill, `_window`, one slice assignment per
@@ -43,7 +44,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
 from math import gcd, lcm
-from operator import ge, itemgetter, mul
+from operator import ge, mul
 from typing import IO, Iterable, Iterator, Sequence
 
 
@@ -366,15 +367,12 @@ class SimulationReport:
     A report from `_report` builds per_bamboo_max on its first read and
     keeps it; ==, hash, repr, `dataclasses.replace` and pickling read it
     like any other field, so such a report is indistinguishable from one
-    given all six fields.
+    given all three fields.
     """
 
     per_bamboo_max: tuple[Fraction, ...]
     global_max: Fraction
     argmax_bamboo: int                      # lowest 1-based index attaining global_max
-    steady_state_max: Fraction              # supremum after the preamble / first period
-    horizon: Fraction | int | None          # rounds or time simulated; None = analytic
-    argmax_round: Fraction | int | None = None
 
     def __getattr__(self, name):
         # reached only for an attribute not set, so per_bamboo_max is built once
@@ -393,71 +391,46 @@ class SimulationReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _report(w, d, gaps, steady_gaps, at, horizon, unit=1) -> SimulationReport:
+def _report(w, d, gaps, unit=1) -> SimulationReport:
     """The one place per-bamboo gaps become a SimulationReport.
 
-    The k-th bamboo waits at most gaps[k] units of time 1/unit, and at most
-    steady_gaps[k] after the steady cut-off, so its heights are w_k * gap
-    over d * unit: they compare as integers.  The report keeps them so
-    until per_bamboo_max is first read, which builds one Fraction per
-    distinct height.  at(i) is the time at which the tallest bamboo i
-    (1-based, lowest index on ties) first reaches its height.
+    The k-th bamboo waits at most gaps[k] units of time 1/unit, so its
+    height is w_k * gap over d * unit: heights compare as integers.  The
+    report keeps them so until per_bamboo_max is first read, which builds
+    one Fraction per distinct height.
     """
     tops = list(map(mul, w, gaps))
     top = max(tops)
-    arg = tops.index(top) + 1
-    steady = max(map(mul, w, steady_gaps))
     du = d * unit
-    if steady > top:  # internal invariant: no steady gap outgrows its bamboo's largest
-        raise CertificateError(
-            f"steady-state max {Fraction(steady, du)} above global max {Fraction(top, du)}"
-        )
     report = object.__new__(SimulationReport)  # per_bamboo_max is left to __getattr__
     report.__dict__.update(
-        global_max=Fraction(top, du),
-        argmax_bamboo=arg,
-        steady_state_max=Fraction(steady, du),
-        horizon=horizon,
-        argmax_round=at(arg),
-        _heights=(tops, du),
+        global_max=Fraction(top, du), argmax_bamboo=tops.index(top) + 1, _heights=(tops, du)
     )
     return report
 
 
-def _gap_scan(
-    n: int, cuts: Sequence[int], times: Iterable[int], end: int, steady_after: int = 0
-) -> tuple[list[int], list[int], list[int]]:
+def _gap_scan(n: int, cuts: Sequence[int], times: Iterable[int], end: int) -> list[int]:
     """The one gap-accounting kernel behind every replayed report.
 
     Bamboo cuts[k] (0 = idle) of 1..n is cut at integer time times[k];
     times increase strictly from 0, and the replay closes at `end`, where
-    every bamboo's tail gap counts.  Returns each bamboo's longest gap and
-    longest gap ending after steady_after (0-based lists), and best_at,
-    where best_at[i] is the time bamboo i's first longest gap ends.
-    Indices are trusted here; callers check them.
+    every bamboo's tail gap counts.  Returns each bamboo's longest gap
+    (0-based list).  Indices are trusted here; callers check them.
     """
     last = [0] * (n + 1)
     best_gap = [0] * (n + 1)
-    best_at = [0] * (n + 1)
-    steady_gap = [0] * (n + 1)
     for c, t in zip(cuts, times):
         if not c:
             continue
         gap = t - last[c]
         if gap > best_gap[c]:
             best_gap[c] = gap
-            best_at[c] = t
-        if t > steady_after and gap > steady_gap[c]:
-            steady_gap[c] = gap
         last[c] = t
     for i in range(1, n + 1):
         gap = end - last[i]
         if gap > best_gap[i]:
             best_gap[i] = gap
-            best_at[i] = end
-        if end > steady_after and gap > steady_gap[i]:
-            steady_gap[i] = gap
-    return best_gap[1:], steady_gap[1:], best_at
+    return best_gap[1:]
 
 
 def simulate_discrete(rates: RateVector, schedule: Sequence[int]) -> SimulationReport:
@@ -465,9 +438,10 @@ def simulate_discrete(rates: RateVector, schedule: Sequence[int]) -> SimulationR
 
     Per-bamboo maximum is h_i times the largest gap between consecutive cuts
     of i, counting the initial gap from round 0 and the tail gap from the
-    last cut to the horizon (a bamboo never cut within the horizon
+    last cut to the last round (a bamboo never cut in the sequence
     contributes its full-window height: that height really was attained).
-    Every height counts toward steady_state_max, so it equals global_max.
+    The report holds these maxima, the largest of them and the lowest
+    bamboo that attains it.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -479,20 +453,14 @@ def simulate_discrete(rates: RateVector, schedule: Sequence[int]) -> SimulationR
     if min(cuts) < 0 or max(cuts) > n:
         r, c = next((r, c) for r, c in enumerate(cuts, start=1) if not 0 <= c <= n)
         raise ScheduleError(f"cut index {c} out of range 0..{n} at round {r}")
-    gaps, steady, best_at = _gap_scan(n, cuts, range(1, len(cuts) + 1), len(cuts))
-    return _report(*integer_weights(rates), gaps, steady, best_at.__getitem__, len(cuts))
+    gaps = _gap_scan(n, cuts, range(1, len(cuts) + 1), len(cuts))
+    return _report(*integer_weights(rates), gaps)
 
 
 def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> SimulationReport:
-    # Bamboo i's longest wait is max(p_i, q_i), its steady wait q_i.
-    pairs = schedule.pairs
-
-    def at(i: int) -> int:  # the round the first longest wait of bamboo i ends
-        p, q = pairs[i - 1]
-        return p if p >= q else p + q
-
-    gaps = (p if p > q else q for p, q in pairs)
-    return _report(*integer_weights(rates), gaps, map(itemgetter(1), pairs), at, None)
+    # Bamboo i's longest wait is max(p_i, q_i).
+    gaps = (p if p > q else q for p, q in schedule.pairs)
+    return _report(*integer_weights(rates), gaps)
 
 
 def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationReport:
@@ -501,16 +469,12 @@ def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationRepor
     if missing:
         raise ScheduleError(f"period never cuts bamboo(s) {sorted(missing)}")
     # Every gap (initial gaps, preamble, transition, cyclic gaps) shows up in
-    # the first preamble + 2 periods; the cuts in the second period close
-    # exactly the cyclic gaps, which give the steady state.  Every bamboo is
-    # cut in the second period, so its tail is shorter than its wrap-around
-    # gap, which that period closes: counting the tail changes nothing.
+    # the first preamble + 2 periods.  Every bamboo is cut in the second
+    # period, so its tail is shorter than its wrap-around gap, which that
+    # period closes: counting the tail changes nothing.
     cuts = schedule.preamble + schedule.period + schedule.period
-    steady_after = len(schedule.preamble) + len(schedule.period)
-    gaps, steady, best_at = _gap_scan(
-        rates.n, cuts, range(1, len(cuts) + 1), len(cuts), steady_after
-    )
-    return _report(*integer_weights(rates), gaps, steady, best_at.__getitem__, None)
+    gaps = _gap_scan(rates.n, cuts, range(1, len(cuts) + 1), len(cuts))
+    return _report(*integer_weights(rates), gaps)
 
 
 def evaluate_cyclic(
@@ -555,7 +519,7 @@ def simulate_walk(
     via the triangle inequality make faster-than-direct arrivals
     impossible).  With strict=True each leg must take exactly the travel
     time.  Gaps are accounted as in `simulate_discrete`, with the last
-    arrival as horizon.  The replay runs in integer ticks of 1/u, u the lcm
+    arrival as the end.  The replay runs in integer ticks of 1/u, u the lcm
     of the travel matrix's denominator and those of the times.
     """
     if not walk:
@@ -589,9 +553,9 @@ def simulate_walk(
                 f" != travel time {Fraction(d, u)} (strict mode)"
             )
         prev_v, prev_t = v, t
-    gaps, steady, best_at = _gap_scan(n, points, arrivals, prev_t)
+    gaps = _gap_scan(n, points, arrivals, prev_t)
     w, d = integer_weights(instance.rates)
-    return _report(w, d, gaps, steady, lambda i: Fraction(best_at[i], u), Fraction(prev_t, u), u)
+    return _report(w, d, gaps, u)
 
 
 def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:

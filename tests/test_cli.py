@@ -164,6 +164,18 @@ def test_malformed_rates_name_the_field(tmp_path, capsys):
     assert "rates[1]" in capsys.readouterr().err
 
 
+def test_a_non_json_instance_file_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("rates: 1/2, 1/2\n")
+    assert main(["oracle", "opt", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("bgt: malformed input: document:")
+
+
+def test_a_missing_instance_path_is_malformed_input(tmp_path, capsys):
+    assert main(["oracle", "opt", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("bgt: malformed input: path:")
+
+
 def test_verify_bound_failure_is_exit_1(tmp_path, inst715, capsys):
     sched = tmp_path / "two.json"
     assert main(["approx", "two", inst715, "--out", str(sched)]) == 0

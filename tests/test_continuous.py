@@ -42,6 +42,7 @@ from bgt.continuous import (
     ClassTour,
     TourState,
     _check_travel,
+    _class_tour,
     _patrol,
     _plan,
     _scaled,
@@ -412,6 +413,27 @@ def test_random_metrics_meet_their_certificates():
             assert rep.global_max <= certificate_bound(inst, algo)
 
 
+# --- algorithm 3's V_0 term --------------------------------------------------
+
+def _v0_instances():
+    yield from (gen_random_metric(n, seed) for n, seed in ((20, 0), (40, 6), (60, 6), (100, 17)))
+    n = 5  # n - 1 points at rate n^-2: V_0 as large and as fast as it gets
+    yield _metric(n, 0, [F(1), F(2)], rates=[n * n - n + 1] + [1] * (n - 1))
+
+
+@pytest.mark.parametrize("inst", list(_v0_instances()), ids=lambda i: f"n{i.n}")
+def test_algorithm3_bound_stays_above_its_v0_term(inst):
+    # the bound leaves out (3s+1)*D*|V_0|*h_max(V_0): point 1's class is larger
+    v0, classes = algorithm3_classes(inst)
+    assert v0
+    factor, D, rate = 3 * len(classes) + 1, inst.diameter, inst.rates.rate
+    v0_term = factor * D * len(v0) * rate(v0[0])
+    class_terms = [factor * (D + 2 * mst(c, inst.travel)[1]) * rate(c[0]) for c in classes if c]
+    bound = certificate_bound(inst, 3)
+    assert bound > v0_term
+    assert bound == max(class_terms + [v0_term])  # the value with the term taken
+
+
 # --- patrol periodicity ------------------------------------------------------
 
 def _cycles(inst, state, reach, k):
@@ -422,8 +444,15 @@ def _cycles(inst, state, reach, k):
     return walk
 
 
+def _plan_state(inst, algo):
+    """The tour state and reach a walk of algorithm `algo` starts from."""
+    trees, v0, reach, _ = _plan(inst, algo)
+    srow = inst._ticks[inst.start - 1].tolist()
+    return TourState([_class_tour(edges, root, srow) for edges, root in trees], v0), reach
+
+
 def _run_cycles(inst, k):
-    state, reach, _ = _plan(inst, 3)
+    state, reach = _plan_state(inst, 3)
     walk = _cycles(inst, state, reach, k)
     pos = walk[-1][0] if walk else inst.start
     snap = (
@@ -742,7 +771,7 @@ def test_integer_walks_match_the_fraction_reference(inst):
             assert all(type(v) is int and type(t) is F for v, t in walk)
     for algo in (2, 3):
         for k in (1, 2, 5):
-            (state, reach, _), ref = _plan(inst, algo), _reference_state(inst, algo)
+            (state, reach), ref = _plan_state(inst, algo), _reference_state(inst, algo)
             assert state == ref  # the same tours and starting cursors
             assert _cycles(inst, state, reach, k) == _reference_patrol(inst, ref, cycles=k)
             assert state == ref  # and the same cursors after k cycles

@@ -3,12 +3,9 @@
 import copy
 import hashlib
 import json
-import os
 import pickle
 import random
 import re
-import subprocess
-import sys
 from array import array
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -644,14 +641,12 @@ def test_gen_planted_head_exact_ratio():
 # `_evaluate_list` and `simulate_walk` ran before they shared one gap scan.
 
 
-def _reference_simulate_discrete(rates, schedule, *, include_tail=True, steady_after=0):
+def _reference_simulate_discrete(rates, schedule, *, include_tail=True):
     if not schedule:
         raise ValueError("schedule must be nonempty")
     n = rates.n
     last = [0] * (n + 1)
     best_gap = [0] * (n + 1)
-    best_at = [0] * (n + 1)
-    steady_gap = [0] * (n + 1)
     r = 0
     for r, c in enumerate(schedule, start=1):
         c = int(c)
@@ -662,9 +657,6 @@ def _reference_simulate_discrete(rates, schedule, *, include_tail=True, steady_a
         gap = r - last[c]
         if gap > best_gap[c]:
             best_gap[c] = gap
-            best_at[c] = r
-        if r > steady_after and gap > steady_gap[c]:
-            steady_gap[c] = gap
         last[c] = r
     horizon = r
     for i in range(1, n + 1):
@@ -673,36 +665,17 @@ def _reference_simulate_discrete(rates, schedule, *, include_tail=True, steady_a
         gap = horizon - last[i]
         if gap > best_gap[i]:
             best_gap[i] = gap
-            best_at[i] = horizon
-        if horizon > steady_after and gap > steady_gap[i]:
-            steady_gap[i] = gap
     per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
     gmax = max(per)
-    arg = per.index(gmax) + 1
-    steady = max((rates.rate(i) * steady_gap[i] for i in range(1, n + 1)), default=F(0))
-    return SimulationReport(per, gmax, arg, steady, horizon, best_at[arg])
+    return SimulationReport(per, gmax, per.index(gmax) + 1)
 
 
 def _reference_evaluate_list(rates, schedule):
     pre, period = schedule.preamble, schedule.period
-    sim = _reference_simulate_discrete(rates, pre + period + period, include_tail=False)
-    P = len(period)
-    positions = {}
-    for t, c in enumerate(period, start=1):
-        if c:
-            positions.setdefault(c, []).append(t)
-    steady = F(0)
-    for i, pos in positions.items():
-        wrap = P - pos[-1] + pos[0]
-        gap = max(max(b - a for a, b in zip(pos, pos[1:])), wrap) if len(pos) > 1 else P
-        if rates.rate(i) * gap > steady:
-            steady = rates.rate(i) * gap
-    return SimulationReport(
-        sim.per_bamboo_max, sim.global_max, sim.argmax_bamboo, steady, None, sim.argmax_round
-    )
+    return _reference_simulate_discrete(rates, pre + period + period, include_tail=False)
 
 
-def _reference_simulate_walk(instance, walk, *, strict=False, steady_after=F(0)):
+def _reference_simulate_walk(instance, walk, *, strict=False):
     if not walk:
         raise ValueError("empty walk needs an explicit horizon")
     rates = instance.rates
@@ -711,8 +684,6 @@ def _reference_simulate_walk(instance, walk, *, strict=False, steady_after=F(0))
     prev_v, prev_t = instance.start, F(0)
     last = [F(0)] * (n + 1)
     best_gap = [F(0)] * (n + 1)
-    best_at = [F(0)] * (n + 1)
-    steady_gap = [F(0)] * (n + 1)
     for k, (v, t) in enumerate(walk):
         v = int(v)
         t = frac(t)
@@ -733,9 +704,6 @@ def _reference_simulate_walk(instance, walk, *, strict=False, steady_after=F(0))
         gap = t - last[v]
         if gap > best_gap[v]:
             best_gap[v] = gap
-            best_at[v] = t
-        if t > steady_after and gap > steady_gap[v]:
-            steady_gap[v] = gap
         last[v] = t
         prev_v, prev_t = v, t
     end = prev_t
@@ -743,14 +711,9 @@ def _reference_simulate_walk(instance, walk, *, strict=False, steady_after=F(0))
         gap = end - last[i]
         if gap > best_gap[i]:
             best_gap[i] = gap
-            best_at[i] = end
-        if end > steady_after and gap > steady_gap[i]:
-            steady_gap[i] = gap
     per = tuple(rates.rate(i) * best_gap[i] for i in range(1, n + 1))
     gmax = max(per)
-    arg = per.index(gmax) + 1
-    steady = max((rates.rate(i) * steady_gap[i] for i in range(1, n + 1)), default=F(0))
-    return SimulationReport(per, gmax, arg, steady, end, best_at[arg])
+    return SimulationReport(per, gmax, per.index(gmax) + 1)
 
 
 def _same(new, ref):
@@ -809,9 +772,7 @@ def test_evaluate_list_with_a_preamble_matches_the_reference():
     rates = RateVector([F(1, 2), F(1, 3), F(1, 12)])
     for sched in (ListSchedule((2,), (1, 2, 1, 3), 3), ListSchedule((), (1, 2, 1, 3), 3),
                   ListSchedule((3, 3, 0), (2, 1, 0, 1, 3, 2), 3)):
-        new = evaluate_cyclic(rates, sched)
-        _same(new, _reference_evaluate_list(rates, sched))
-        assert new.horizon is None
+        _same(evaluate_cyclic(rates, sched), _reference_evaluate_list(rates, sched))
 
 
 def _random_walk(inst, rng, length, strict):
@@ -888,26 +849,6 @@ def test_simulate_walk_refuses_inexact_times():
         simulate_walk(inst, [(2, float(d12))])
 
 
-def test_a_steady_gap_above_the_largest_is_refused_under_python_O():
-    # no report path reaches this raise: a steady gap never outgrows its
-    # bamboo's largest; the builder checks it anyway, also without asserts
-    script = """if __debug__:
-    raise SystemExit("expected to run under python -O")
-from bgt import CertificateError, core
-try:
-    core._report([2, 1], 3, [4, 4], [4, 9], lambda i: 0, None)
-except CertificateError as exc:
-    print("raised:", exc)
-"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bgt.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised: steady-state max 3 above global max 8/3\n"
-
-
 def test_simulate_walk_rejects_each_bad_leg_like_the_reference():
     inst = gen_random_metric(4, 7)
     good = _random_walk(inst, random.Random(7), 6, True)
@@ -945,13 +886,13 @@ def _field_values(report):
 
 def _check_built_on_first_read(make):
     """make() returns a fresh report from the library; each is read one way
-    and must match a report given all six fields."""
+    and must match a report given all three fields."""
     assert "per_bamboo_max" not in vars(make())  # nothing built before a read
     eager = SimulationReport(*_field_values(make()))
     assert make() == eager and eager == make()
     assert hash(make()) == hash(eager)
     assert repr(make()) == repr(eager)
-    assert replace(make(), horizon=7) == replace(eager, horizon=7)
+    assert replace(make(), global_max=F(7)) == replace(eager, global_max=F(7))
     assert pickle.dumps(make()) == pickle.dumps(eager)
     assert pickle.loads(pickle.dumps(make())) == eager
     assert copy.copy(make()) == eager
@@ -987,27 +928,28 @@ def test_walk_reports_build_their_heights_on_first_read(seed):
 
 
 # --- reports pinned by digest ------------------------------------------------
-# sha256 of repr(report) for seeded inputs at default arguments, recorded
-# before the replays lost their tail and cut-off switches.  repr covers
-# every field, the number types included, so any drift in a report shows.
+# sha256 of the repr of each report's three fields for seeded inputs at
+# default arguments, computed both with and without the gap scan's
+# steady-state and argmax-time bookkeeping.  repr covers the number types
+# too, so any drift in a report shows.
 
 _PINNED = {
-    "simulate_discrete n=1": "7a6abdb05195f2e4f9b85364f961ed99ec447853fe39a73e8370487b1cb1ac6c",
-    "evaluate_cyclic list n=1": "a8b8aa4cbadedf03309faf1607604d327c044847392c87ac7f2df234fd17f243",
-    "reduce_max n=1": "d6958b934b1d5c7e70e6a6a8539f433c8773e7ecbe6278294a358aaabdd7cfee",
-    "reduce_fastest n=1": "b085c9fc0c310c19809ab89e795330b27c3ffcbc5354ca4fc15ffac9d23ac484",
-    "simulate_discrete n=3": "84454770019d55cb4fd149a3fb59d0383a72297b67fe2bcd718519d8d1007511",
-    "evaluate_cyclic list n=3": "61b571fda1255d58433ce071a2eec1b0107b2f84855d4d84976c5443d51d4f92",
-    "reduce_max n=3": "f7787fc8e7dd11f23638c9f8a12e15de7533673dcbf74a4c6e9901ae107ee3fd",
-    "reduce_fastest n=3": "42e9d615f2115d77839a7fbbde2c1d930974eb9db1cca4b75853ab65b7d3cadc",
-    "simulate_discrete n=6": "3436903cb97aeecdfdb0a41253e5fbf6fd7fc9e636b08731dc0055026c3373aa",
-    "evaluate_cyclic list n=6": "bdbf7c8dedfd8da2cfc975587d786734823d27c045340b8b6a054b075756f63f",
-    "reduce_max n=6": "79bcea59aa2fb32106605c83d1655af399f6e406c30be849722aee1a08f8b736",
-    "reduce_fastest n=6": "f03ddd0fdff90843c8d9346bbc903bd23b2447d71d4a07fa06c6d9c9603a072d",
-    "simulate_walk seed=3 strict=True": "4045c909a9e0cf820849325590e3782d37eeb48c81fef770c81a354d041556cb",
-    "simulate_walk seed=3 strict=False": "f0233cc9f993e65e83a3ece2cf6ffcf2f54d37f43148321028cfac40f4c57858",
-    "simulate_walk seed=4 strict=True": "a86ead1358416ae7930a83ce9907a787db3396280ee1507ff1e62481c63811cc",
-    "simulate_walk seed=4 strict=False": "70ccb4a496e75921f6abdd048273bc3869f6ebb37a1e622a73caff34c9b1f5f3",
+    "simulate_discrete n=1": "33022899d955a756f79410d6fd5a7c8c1a832be5ce82a41dfa2affbffbcd159d",
+    "evaluate_cyclic list n=1": "d6a1465639c9ee0e62e82d255e6810dd8f8c499adfd7a41c027f13805e562b0b",
+    "reduce_max n=1": "d36ad55216f640f155ea9a6910103e0f1bf22c92bac577ebbe7ff82375c9b63a",
+    "reduce_fastest n=1": "9d3e671ba2db0765f628ac706a6b489f927e4f16d84e7f3e0bd23fc712bd1e88",
+    "simulate_discrete n=3": "f4076d085304c6f440bc2807a428e8563310ee162bdf4c7b77045a047961883a",
+    "evaluate_cyclic list n=3": "9064796ceb649f371434f8746906d617f823f0aa0fc01a68bb939e27b2b3f642",
+    "reduce_max n=3": "cdbc3889fb1436a8d0a5eb297f17a862b36eae2d3b0e706467a3e8b26f75a8fc",
+    "reduce_fastest n=3": "982d370c0652c4226783d8dab657c37ead2a38bbbc0570bff8ba223d43217749",
+    "simulate_discrete n=6": "80e7d56ec566896a448a67f959f85a1d892f6127e1fe4781c8500b6406cbbe23",
+    "evaluate_cyclic list n=6": "1d6d4c53830e66eec2e1d244b4d45b3e80175bf84cc5b2ed7b526530f2269090",
+    "reduce_max n=6": "c720dcfd85e55fbc4ae7080bcfa117f992e1276df4d8c3ebd389dd2ca54e72f1",
+    "reduce_fastest n=6": "ffa35d63eb1713311e60d50bd32e60b52baf6ce694b1f150dc0e1edf4536f554",
+    "simulate_walk seed=3 strict=True": "903a55d76aea10980bc207b90fa26c1f9e91f61ee2dc1152993a64980f953830",
+    "simulate_walk seed=3 strict=False": "274920b50ea4192515476f88158a85a1a8a698b9e79415f1e292f913762e7e36",
+    "simulate_walk seed=4 strict=True": "6b4fbd751710a8f4447e2e7e9aba7dffa8c1c4ec60e23dfacdf3adf5a7eaa17f",
+    "simulate_walk seed=4 strict=False": "4bb96d9397bbdb8bd7671e3f34955687e3cee6b0f0a57ab37ce91ca1444354ce",
 }
 
 
@@ -1033,5 +975,9 @@ def _pinned_reports():
 
 
 def test_replay_reports_match_their_pinned_digests():
-    got = {name: hashlib.sha256(repr(rep).encode()).hexdigest() for name, rep in _pinned_reports()}
+    got = {
+        name: hashlib.sha256(repr((r.per_bamboo_max, r.global_max, r.argmax_bamboo)).encode())
+        .hexdigest()
+        for name, r in _pinned_reports()
+    }
     assert got == _PINNED

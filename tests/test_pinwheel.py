@@ -335,18 +335,12 @@ def _reference_two_approx(rates):
 
 def _reference_evaluate_residue(rates, schedule):
     per = []
-    steady = F(0)
     for i, (p, q) in enumerate(schedule.pairs, start=1):
         h = rates.rate(i)
         per.append(h * max(p, q))
-        if h * q > steady:
-            steady = h * q
     per = tuple(per)
     gmax = max(per)
-    arg = per.index(gmax) + 1
-    p, q = schedule.pairs[arg - 1]
-    at = p if p >= q else p + q
-    return SimulationReport(per, gmax, arg, steady, None, at)
+    return SimulationReport(per, gmax, per.index(gmax) + 1)
 
 
 def _primes(count, start):
