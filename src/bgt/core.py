@@ -21,9 +21,11 @@ is expanded by one window fill, `_window`, one slice assignment per
 bamboo: 256 rounds first, then one hyperperiod that repeats when it is at
 most 2^20 rounds and every offset is at most its period, else windows of
 2^20 rounds.  The first round two bamboos share ends the stream with a
-ScheduleError.  `evaluate_cyclic` checks every residue schedule with
-`validate_residue` (exact, period group by period group, for any
-hyperperiod); its list path scans a preamble + 2 periods window.
+ScheduleError.  One reader, `_cyclic_gaps`, gives either form's gaps to
+`evaluate_cyclic` and to the lanes of `offline.eight_fifths`: max(p_i, q_i)
+per residue pair, a preamble + 2 periods gap scan for a list.
+`evaluate_cyclic` checks every residue schedule with `validate_residue`
+(exact, period group by period group, for any hyperperiod).
 
 Conventions used throughout the package:
 
@@ -68,13 +70,15 @@ class CertificateError(RuntimeError):
 def frac(value) -> Fraction:
     """Convert a value to an exact Fraction.
 
-    Accepts Fraction, int, and strings such as "7/15" or "0.25".  Floats are
-    rejected on purpose: they would smuggle binary rounding into exact
-    height accounting.
+    Accepts exactly Fraction, int, and strings such as "7/15" or "0.25",
+    checked by type.  Floats are rejected on purpose: they would smuggle
+    binary rounding into exact height accounting.  So are bools, which are
+    ints to isinstance but no rate or time (a JSON `true` is not 1).
     """
-    if isinstance(value, Fraction):
+    kind = type(value)
+    if kind is Fraction:
         return value
-    if isinstance(value, (int, str)):
+    if kind is int or kind is str:
         return Fraction(value)
     raise TypeError(f"refusing inexact conversion to Fraction: {value!r}")
 
@@ -457,15 +461,15 @@ def simulate_discrete(rates: RateVector, schedule: Sequence[int]) -> SimulationR
     return _report(*integer_weights(rates), gaps)
 
 
-def _evaluate_residue(rates: RateVector, schedule: ResidueSchedule) -> SimulationReport:
-    # Bamboo i's longest wait is max(p_i, q_i).
-    gaps = (p if p > q else q for p, q in schedule.pairs)
-    return _report(*integer_weights(rates), gaps)
-
-
-def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationReport:
+def _cyclic_gaps(n: int, schedule: CyclicSchedule) -> list[int]:
+    """The one reader of a cyclic schedule's gaps: each of bamboos 1..n's
+    longest wait in rounds (0-based list); sizes and disjointness are the
+    caller's to check.  A residue pair waits at most max(p_i, q_i).
+    """
+    if isinstance(schedule, ResidueSchedule):
+        return [p if p > q else q for p, q in schedule.pairs]
     # A bamboo the period never cuts grows without bound: no finite report.
-    missing = set(range(1, rates.n + 1)).difference(schedule.period)
+    missing = set(range(1, n + 1)).difference(schedule.period)
     if missing:
         raise ScheduleError(f"period never cuts bamboo(s) {sorted(missing)}")
     # Every gap (initial gaps, preamble, transition, cyclic gaps) shows up in
@@ -473,8 +477,7 @@ def _evaluate_list(rates: RateVector, schedule: ListSchedule) -> SimulationRepor
     # period, so its tail is shorter than its wrap-around gap, which that
     # period closes: counting the tail changes nothing.
     cuts = schedule.preamble + schedule.period + schedule.period
-    gaps = _gap_scan(rates.n, cuts, range(1, len(cuts) + 1), len(cuts))
-    return _report(*integer_weights(rates), gaps)
+    return _gap_scan(n, cuts, range(1, len(cuts) + 1), len(cuts))
 
 
 def evaluate_cyclic(
@@ -483,12 +486,13 @@ def evaluate_cyclic(
     """Exact supremum report for an infinite cyclic schedule, checked first
     (`validate` is kept for old callers and must be True).
 
-    ResidueForm: classes that meet raise ScheduleError (`validate_residue`);
-    the per-bamboo supremum is h_i * max(p_i, q_i).
-    ListForm: maximum cyclic gap in one period plus the first-occurrence gap,
-    obtained from an explicit preamble + 2 periods expansion.  A period that
-    never cuts some bamboo raises ScheduleError: that bamboo's height has no
-    finite supremum.
+    A residue schedule must cover exactly the instance's bamboos, and classes
+    that meet raise ScheduleError (`validate_residue`).  A list schedule may
+    name no bamboo past the instance's.  Bamboo i's supremum is h_i times
+    its longest gap, read by `_cyclic_gaps`: max(p_i, q_i) for a residue
+    pair, the longest gap over preamble + 2 periods for a list.  A period
+    that never cuts some bamboo raises ScheduleError: that bamboo's height
+    has no finite supremum.
     """
     if validate is not True:
         raise TypeError("evaluate_cyclic checks every schedule; validate must be True")
@@ -496,16 +500,12 @@ def evaluate_cyclic(
         if schedule.n != rates.n:
             raise ScheduleError(f"schedule covers {schedule.n} bamboos, instance has {rates.n}")
         validate_residue(schedule)
-        return _evaluate_residue(rates, schedule)
-    if isinstance(schedule, ListSchedule):
+    elif isinstance(schedule, ListSchedule):
         if schedule.n > rates.n:
             raise ScheduleError(f"schedule names bamboo {schedule.n}, instance has {rates.n}")
-        if schedule.n != rates.n:
-            raise ScheduleError(
-                f"period must cut every bamboo 1..{rates.n} (covers only {schedule.n})"
-            )
-        return _evaluate_list(rates, schedule)
-    raise TypeError(f"not a cyclic schedule: {schedule!r}")
+    else:
+        raise TypeError(f"not a cyclic schedule: {schedule!r}")
+    return _report(*integer_weights(rates), _cyclic_gaps(rates.n, schedule))
 
 
 def simulate_walk(

@@ -23,6 +23,7 @@ from .core import (
     ListSchedule,
     RateVector,
     ResidueSchedule,
+    _cyclic_gaps,
     evaluate_cyclic,
     next_cuts_stream,
 )
@@ -83,7 +84,9 @@ def rebalance(
 def _lane_shape(schedule: CyclicSchedule) -> tuple[int, int]:
     """(preamble length, period length) of a lane in sub-rounds."""
     if isinstance(schedule, ResidueSchedule):
-        return 0, lcm(*(q for _, q in schedule.pairs))
+        pairs = schedule.pairs
+        # bamboo i's cuts repeat with period q_i only from round p_i - q_i + 1
+        return max([0] + [p - q for p, q in pairs]), lcm(*(q for _, q in pairs))
     return len(schedule.preamble), len(schedule.period)
 
 
@@ -175,33 +178,23 @@ def _schedule_lane(
 ) -> _Lane:
     sub = _sub_rates(rates, members)
     fallback = False
-    opt = None
-    delta = None
+    opt = delta = None
     if scheduler == "single":
         sched: CyclicSchedule = ResidueSchedule(((1, 1),))
-        gaps = {members[0]: 1}
         bound = sub.rates[0]
     elif scheduler == "oracle":
         try:
             opt, sched = optimal_height(sub, state_budget=budget)
+            bound = opt
         except BudgetExceededError:
             scheduler, fallback = "two_approx", True
-        if opt is not None:
-            report = evaluate_cyclic(sub, sched)
-            gaps = {
-                g: int(report.per_bamboo_max[k - 1] / sub.rates[k - 1])
-                for k, g in enumerate(members, start=1)
-            }
-            bound = opt
     if scheduler == "two_approx":
         sched = two_approx(sub)
-        gaps = {g: max(p, q) for g, (p, q) in zip(members, sched.pairs)}
         bound = 2 * sub.H
     elif scheduler == "main":
         sched, diag = main_algorithm(sub)
-        gaps = {g: max(p, q) for g, (p, q) in zip(members, sched.pairs)}
-        bound = diag.bound
-        delta = diag.delta
+        bound, delta = diag.bound, diag.delta
+    gaps = dict(zip(members, _cyclic_gaps(sub.n, sched)))
     return _Lane(members, sched, scheduler, gaps, bound, opt, delta, fallback)
 
 
@@ -299,22 +292,18 @@ def eight_fifths(
     for t, ln in lanes.items():
         offsets = [k for k, tok in enumerate(pattern) if tok == t]
         c = len(offsets)
-        dil = _dilated_gap(P, offsets, 1)  # per unit of sub-gap, for the token bound
         sub_sum = sum((rates.rate(i) for i in ln.members), Fraction(0))
+        bounds = {i: _dilated_gap(P, offsets, g) * rates.rate(i) for i, g in ln.sub_gaps.items()}
         # token-level certified bound on every member's merged height
         if ln.scheduler == "oracle":
-            token_bound = max(
-                _dilated_gap(P, offsets, ln.sub_gaps[i]) * rates.rate(i)
-                for i in ln.members
-            )
+            token_bound = max(bounds.values())
             if case == 1 and token_bound > Fraction(3, 2) * ln.opt:
                 raise CertificateError(f"token {t}: bound {token_bound} > 3/2 of OPT {ln.opt}")
-        else:
-            token_bound = dil * ln.token_bound
+        else:  # the lane's bound, dilated per unit of sub-gap
+            token_bound = _dilated_gap(P, offsets, 1) * ln.token_bound
         member_max = Fraction(0)
         for i in ln.members:
-            g = ln.sub_gaps[i]
-            hb = _dilated_gap(P, offsets, g) * rates.rate(i)
+            hb = bounds[i]
             realized = report.per_bamboo_max[i - 1]
             if not realized <= hb <= token_bound:
                 raise CertificateError(

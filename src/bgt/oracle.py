@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import floor
 from typing import Sequence
 
 from .core import CertificateError, ListSchedule, RateVector, frac
@@ -129,11 +130,13 @@ def _peel(succs: list[list[int]]) -> list[bool]:
 
 def _search(limits: Sequence[int], state_budget: int):
     """(succs, killed) of the peeled reduced graph for sorted limits, or None
-    when a limit below 1 or the density already refutes them."""
+    when they are refuted: by a limit below 1, by density > 1, or by a dead
+    start state.  The one place a cap is decided infeasible."""
     if limits[0] < 1 or density(limits) > 1:
         return None
     _, succs = _build_graph(limits, state_budget)
-    return succs, _peel(succs)
+    killed = _peel(succs)
+    return None if killed[0] else (succs, killed)
 
 
 def _walk(limits: Sequence[int], solved):
@@ -143,9 +146,9 @@ def _walk(limits: Sequence[int], solved):
     stably.  Each step takes the first run whose successor survives peeling
     and cuts the run's oldest concrete member (lowest index on ties), which
     the replayed concrete ages identify; the first repeated (reduced state,
-    concrete ages) pair closes the cycle.  None if the start state is dead.
+    concrete ages) pair closes the cycle.  None if `_search` refuted them.
     """
-    if solved is None or solved[1][0]:
+    if solved is None:
         return None
     succs, killed = solved
     perm = sorted(range(len(limits)), key=limits.__getitem__)
@@ -175,7 +178,7 @@ def _walk(limits: Sequence[int], solved):
 
 def _limits_for_cap(rates: RateVector, cap: Fraction) -> list[int]:
     # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i); non-decreasing in i
-    return [(cap / h).numerator // (cap / h).denominator for h in rates.rates]
+    return [floor(cap / h) for h in rates.rates]
 
 
 def feasible_under_cap(
@@ -185,8 +188,7 @@ def feasible_under_cap(
     cap = frac(cap)
     if cap <= 0:
         return False
-    solved = _search(_limits_for_cap(rates, cap), state_budget)
-    return solved is not None and not solved[1][0]
+    return _search(_limits_for_cap(rates, cap), state_budget) is not None
 
 
 def opt_candidates(rates: RateVector) -> list[Fraction]:
@@ -233,7 +235,7 @@ def optimal_height(
             hi = mid
         else:
             solved = _search(limits, state_budget)
-            if solved[1][0]:
+            if solved is None:
                 lo = mid + 1
             else:
                 hi = mid
@@ -256,8 +258,7 @@ def pinwheel_feasible(
     Equivalent to feasible_under_cap on rates (1/f_1, ..., 1/f_n) with cap 1,
     run directly on integer ages.  Frequency 1 means "every slot".
     """
-    solved = _search(sorted(_int_frequencies(freqs)), state_budget)
-    return solved is not None and not solved[1][0]
+    return _search(sorted(_int_frequencies(freqs)), state_budget) is not None
 
 
 def pinwheel_witness(

@@ -164,6 +164,13 @@ def test_malformed_rates_name_the_field(tmp_path, capsys):
     assert "rates[1]" in capsys.readouterr().err
 
 
+def test_a_json_true_rate_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rates": [true, "1/2"]}')
+    assert main(["oracle", "opt", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("bgt: malformed input: rates[0]:")
+
+
 def test_a_non_json_instance_file_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("rates: 1/2, 1/2\n")

@@ -625,6 +625,21 @@ def test_load_instance_names_bad_field():
         assert err.value.field == "start"
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        pytest.param('{"rates": [true, "1/2"]}', "rates[0]", id="rate"),
+        pytest.param(
+            '{"rates": ["1/2", "1/2"], "travel": [[0, true], [1, 0]]}', "travel[0][1]", id="travel"
+        ),
+    ],
+)
+def test_load_instance_refuses_a_json_true(text, field):
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(text)
+    assert err.value.field == field and "True" in str(err.value)
+
+
 def test_gen_planted_head_exact_ratio():
     for seed in range(5):
         rv = gen_planted_head(100, F(1, 16), seed)
@@ -839,6 +854,13 @@ def test_simulate_walk_refuses_points_that_are_not_ints(bad):
     walk = [(2, d12), (True, d12 + d21)] if bad is True else [(bad, d12), (1, d12 + d21)]
     with pytest.raises(ScheduleError, match="is not an int"):
         simulate_walk(inst, walk, strict=True)
+
+
+def test_simulate_walk_refuses_a_bool_time():
+    inst = gen_random_metric(4, 7)  # every distance is at most 1
+    assert simulate_walk(inst, [(2, 1)])
+    with pytest.raises(TypeError, match="inexact"):
+        simulate_walk(inst, [(2, True)])
 
 
 def test_simulate_walk_refuses_inexact_times():

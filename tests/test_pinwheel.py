@@ -432,7 +432,7 @@ def test_evaluate_residue_matches_the_fraction_reference(data):
         st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=rates.n, max_size=rates.n
     ))
     sched = ResidueSchedule(tuple(pairs))  # colliding pairs included on purpose
-    new = core._evaluate_residue(rates, sched)
+    new = core._report(*core.integer_weights(rates), core._cyclic_gaps(rates.n, sched))
     assert repr(new) == repr(_reference_evaluate_residue(rates, sched))
 
 
