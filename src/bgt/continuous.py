@@ -60,11 +60,11 @@ _INT64_LIMIT = 1 << 61  # headroom so a sum of two scaled entries cannot overflo
 def _scaled(rows) -> tuple[np.ndarray, int]:
     """A square matrix of rationals as integers over their common
     denominator: (m, scale) with rows[i][j] == m[i, j] / scale, held as
-    `_reduced` holds it.  Ints and Fractions scale as they are; `frac`
-    parses the rest and refuses floats."""
+    `_reduced` holds it.  Ints and Fractions scale as they are, checked by
+    type; `frac` parses the rest and refuses floats and bools."""
     flat = [x for row in rows for x in row]
     if not {int, Fraction}.issuperset(map(type, flat)):  # C-speed; other types are rare
-        flat = [x if isinstance(x, (int, Fraction)) else frac(x) for x in flat]
+        flat = list(map(frac, flat))
     ints, scale = integer_weights(flat)
     try:
         m = np.array(ints, dtype=np.int64)

@@ -45,6 +45,7 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import ge, mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -588,7 +589,76 @@ def gen_planted_head(n: int, head_ratio, seed: int) -> RateVector:
 
 # ---------------------------------------------------------------------------
 # File formats (shared by the CLI)
+#
+# A saved instance or schedule file is exactly the text that
+# `json.dump(doc, fp, indent=2, sort_keys=True)` and a final newline would
+# write, byte for byte.  `_write_json` writes it a chunk of a few thousand
+# values at a time, each chunk formatted by one `%` or `join` at C speed,
+# where `json.dump` with `indent` runs its pure-Python encoder one generator
+# frame per value.  The CLI's reports (`cli._emit`: nested dicts, None,
+# bools) stay on `json.dumps`.
 # ---------------------------------------------------------------------------
+
+# json's own encoders; repr(x) runs int.__repr__ for an exact int, minus a wrapper call
+_SCALARS = {int: repr, str: encode_basestring_ascii}
+_CHUNK = 8192  # values formatted per write
+
+
+def _encoded(values: Sequence) -> Iterable[str]:
+    """Scalars as json writes them; a value that is no int or str (a bool
+    included) is a TypeError."""
+    kinds = set(map(type, values))
+    if not kinds <= _SCALARS.keys():
+        names = sorted(kind.__name__ for kind in kinds - _SCALARS.keys())
+        raise TypeError(f"cannot save {', '.join(names)} values: ints and strs only")
+    if len(kinds) == 1:
+        return map(_SCALARS[kinds.pop()], values)
+    return [_SCALARS[type(x)](x) for x in values]
+
+
+def _write_json(doc: dict, fp: IO[str]) -> None:
+    """Write doc as `json.dump(doc, fp, indent=2, sort_keys=True)` and a
+    newline would, for the documents bgt saves: a dict with str keys whose
+    values are ints, lists of scalars, or lists of lists of scalars, where a
+    scalar is an int or a str.  Any other shape is a TypeError."""
+    if type(doc) is not dict or not set(map(type, doc)) <= {str}:
+        raise TypeError("cannot save a document that is no dict with str keys")
+    fp.write("{")
+    sep = "\n  "
+    for key, value in sorted(doc.items()):
+        fp.write(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if type(value) is int:
+            fp.write(repr(value))
+        elif type(value) is not list:
+            raise TypeError(f"cannot save {key!r}: an int or a list, not {type(value).__name__}")
+        elif not value:
+            fp.write("[]")
+        elif set(map(type, value)) == {list}:
+            _write_rows(value, fp)
+        else:
+            fp.write("[\n    ")
+            for k in range(0, len(value), _CHUNK):
+                fp.write(",\n    " if k else "")
+                fp.write(",\n    ".join(_encoded(value[k : k + _CHUNK])))
+            fp.write("\n  ]")
+    fp.write("\n}\n" if doc else "}\n")
+
+
+def _write_rows(rows: list[list], fp: IO[str]) -> None:
+    """A list of lists of scalars, indented as a dict value: one `%`
+    template per chunk of rows, built from one template per row length."""
+    templates = {0: "[]"}
+    step = max(1, _CHUNK // max(1, max(map(len, rows))))
+    fp.write("[\n    ")
+    for k in range(0, len(rows), step):
+        chunk = rows[k : k + step]
+        for size in set(map(len, chunk)) - templates.keys():
+            templates[size] = "[\n      " + ",\n      ".join(["%s"] * size) + "\n    ]"
+        template = ",\n    ".join(map(templates.__getitem__, map(len, chunk)))
+        fp.write(",\n    " if k else "")
+        fp.write(template % tuple(_encoded(list(chain.from_iterable(chunk)))))
+    fp.write("\n  ]")
 
 
 def _parse_rational_field(field: str, value) -> Fraction:
@@ -622,8 +692,21 @@ def load_instance(source: IO[str] | str):
     raw_t = doc["travel"]
     if not isinstance(raw_t, list) or any(not isinstance(row, list) for row in raw_t):
         raise InstanceFormatError("travel", "must be a square matrix (list of lists)")
+    # Each distinct string is parsed once: a symmetric matrix repeats each
+    # entry.  Strings only, since a key by value would let a JSON true pass as 1.
+    parsed: dict[str, Fraction] = {}
+
+    def entry(i: int, j: int, v) -> Fraction:
+        x = _parse_rational_field(f"travel[{i}][{j}]", v)
+        if type(v) is str:
+            parsed[v] = x
+        return x
+
     travel = tuple(
-        tuple(_parse_rational_field(f"travel[{i}][{j}]", v) for j, v in enumerate(row))
+        tuple(
+            parsed[v] if type(v) is str and v in parsed else entry(i, j, v)
+            for j, v in enumerate(row)
+        )
         for i, row in enumerate(raw_t)
     )
     start = doc.get("start", 1)
@@ -645,8 +728,7 @@ def instance_to_dict(obj) -> dict:
 
 
 def save_instance(obj, fp: IO[str]) -> None:
-    json.dump(instance_to_dict(obj), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    _write_json(instance_to_dict(obj), fp)
 
 
 def load_schedule(source: IO[str] | str) -> CyclicSchedule:
@@ -682,5 +764,4 @@ def schedule_to_dict(schedule: CyclicSchedule) -> dict:
 
 
 def save_schedule(schedule: CyclicSchedule, fp: IO[str]) -> None:
-    json.dump(schedule_to_dict(schedule), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    _write_json(schedule_to_dict(schedule), fp)

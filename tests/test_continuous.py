@@ -210,6 +210,13 @@ def test_bool_start_is_refused_on_both_paths():
         MetricInstance._from_ticks(rates, np.array([[0, 1], [1, 0]]), 1, start=True)
 
 
+def test_bool_travel_time_is_refused():
+    # True is no travel time 1, as load_instance refuses a JSON true
+    rates = RateVector([F(1, 2), F(1, 2)])
+    with pytest.raises(TypeError, match="True"):
+        MetricInstance(rates, ((0, True), (True, 0)))
+
+
 def _reference_random_metric(n, seed):
     """gen_random_metric built through Fractions: the tick path's reference."""
     rng = random.Random(seed)

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import io
 import json
 import pickle
 import random
@@ -11,6 +12,7 @@ from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -613,6 +615,124 @@ def test_load_schedule_refuses_non_integers(text, field, bad):
     with pytest.raises(InstanceFormatError) as err:
         load_schedule(text)
     assert err.value.field == field and bad in str(err.value)
+
+
+# --- the file writer against json.dump --------------------------------------
+
+_SCALAR = st.one_of(
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.text(),
+    st.text(st.sampled_from('a%s"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600\ud800')),
+)
+_DOCS = st.dictionaries(
+    st.text(),
+    st.one_of(st.integers(), st.lists(_SCALAR), st.lists(st.lists(_SCALAR))),
+)
+
+
+def _written(doc) -> str:
+    buf = io.StringIO()
+    core._write_json(doc, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS, st.sampled_from([1, 2, 3, 7, None]))
+@example({}, None)
+@example({"b": [[], [1], [1, "x\"\\", -2], []], "a": [], "c": 0, "d": [[], []]}, None)
+@example({"rows": [[i, i + 1] for i in range(3 * core._CHUNK // 2)], "n": 2}, None)
+@example({"flat": list(range(2 * core._CHUNK + 5)), "strs": ["1/2"] * 3}, None)
+@example({"wide": [list(range(core._CHUNK + 1)), [1], list(range(3))]}, None)
+def test_write_json_is_json_dump(doc, chunk):
+    # byte for byte json.dump(indent=2, sort_keys=True) and a newline, with
+    # chunks of any size: a chunk boundary leaves no trace in the text
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with mock.patch.object(core, "_CHUNK", chunk or core._CHUNK):
+        assert _written(doc) == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([1, 2], id="not-a-dict"),
+        pytest.param({1: [1]}, id="int-key"),
+        pytest.param({"n": True}, id="bool-value"),
+        pytest.param({"n": "x"}, id="str-value"),
+        pytest.param({"n": None}, id="none-value"),
+        pytest.param({"n": 1.5}, id="float-value"),
+        pytest.param({"n": (1, 2)}, id="tuple-value"),
+        pytest.param({"n": {"m": 1}}, id="dict-value"),
+        pytest.param({"n": [1, True]}, id="bool-in-list"),
+        pytest.param({"n": [1, 0.5]}, id="float-in-list"),
+        pytest.param({"n": [[1], [2, False]]}, id="bool-in-row"),
+        pytest.param({"n": [[1], 2]}, id="row-and-scalar"),
+        pytest.param({"n": [[1], (2,)]}, id="tuple-row"),
+        pytest.param({"n": [[[1]]]}, id="three-levels"),
+        pytest.param({"n": [[None]]}, id="none-in-row"),
+    ],
+)
+def test_write_json_refuses_other_shapes(doc):
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+def test_saved_files_are_json_dump_text():
+    big = main_algorithm(gen_planted_head(10**5, F(1, 16), 0))[0]
+    spiral = bgt.gen_spiral(64)
+    for save, to_dict, obj in (
+        (bgt.save_schedule, schedule_to_dict, big),
+        (bgt.save_schedule, schedule_to_dict, ListSchedule((), (1, 2, 0, 1), 2)),
+        (bgt.save_instance, instance_to_dict, spiral),
+        (bgt.save_instance, instance_to_dict, spiral.rates),
+    ):
+        buf = io.StringIO()
+        save(obj, buf)
+        assert buf.getvalue() == json.dumps(to_dict(obj), indent=2, sort_keys=True) + "\n"
+    assert load_instance(buf.getvalue()) == spiral.rates
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        pytest.param(ResidueSchedule(((1, 2), (2, 4), (4, 4))), id="residue"),
+        pytest.param(ListSchedule((2, 0), (1, 2, 1, 0), 3), id="list"),
+        pytest.param(ListSchedule((), (1,), 1), id="list-empty-preamble"),
+    ],
+)
+def test_saved_schedule_loads_back(schedule):
+    buf = io.StringIO()
+    bgt.save_schedule(schedule, buf)
+    assert load_schedule(buf.getvalue()) == schedule
+
+
+def test_load_instance_parses_each_distinct_travel_string_once(monkeypatch):
+    spiral = bgt.gen_spiral(64)
+    buf = io.StringIO()
+    bgt.save_instance(spiral, buf)
+    seen = []
+    parse = core._parse_rational_field
+    monkeypatch.setattr(core, "_parse_rational_field", lambda f, v: seen.append(f) or parse(f, v))
+    assert load_instance(buf.getvalue()) == spiral
+    distinct = {x for row in instance_to_dict(spiral)["travel"] for x in row}
+    assert len(seen) == spiral.rates.n + len(distinct)
+
+
+@pytest.mark.parametrize(
+    "travel, field",
+    [
+        # a bad string is named where it first appears, row by row
+        pytest.param('[[0, "x"], ["x", 0]]', "travel[0][1]", id="repeated-bad-string"),
+        # a string parsed before does not let an equal JSON value pass
+        pytest.param('[["1", 0], [true, "1"]]', "travel[1][0]", id="true-after-1"),
+        pytest.param('[[0, 1], [1, "1/0"]]', "travel[1][1]", id="zero-denominator"),
+        pytest.param('[[0, "1"], [[1], 0]]', "travel[1][0]", id="list-entry"),
+    ],
+)
+def test_load_instance_names_the_first_bad_travel_entry(travel, field):
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance('{"rates": ["1/2", "1/2"], "travel": %s}' % travel)
+    assert err.value.field == field
 
 
 def test_load_instance_names_bad_field():

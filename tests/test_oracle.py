@@ -30,6 +30,14 @@ def test_opt_round_robin_instance():
     assert evaluate_cyclic(rates, witness).global_max == 1
 
 
+def test_opt_of_a_single_bamboo_is_its_rate():
+    # the k = 1 candidates: one bamboo cut every round peaks at its rate
+    rates = RateVector([1])
+    opt, witness = optimal_height(rates)
+    assert opt == 1
+    assert evaluate_cyclic(rates, witness).global_max == 1
+
+
 def test_opt_non_trivial_value():
     rates = RateVector([F(7, 15), F(1, 3), F(1, 5)])
     opt, witness = optimal_height(rates)

@@ -488,9 +488,15 @@ def _shifted_offsets(freqs):
     return [a + (1 << 40) for a in _allocate_dyadic(freqs)]
 
 
+def _stretched(freqs):
+    """Periods 5/4 as long: every h_i * q_i stays below 3H, the tallest pass 2H."""
+    return ResidueSchedule(tuple((p, q * 5 // 4) for p, q in _dyadic_schedule(freqs).pairs))
+
+
 _TWO_APPROX_BROKEN_STEPS = {
     # doubled periods halve the density but put every h_i * q_i above 2H
     "h_i \\* q_i = .* exceeds 2H": ("_dyadic_schedule", lambda fs: _dyadic_schedule([2 * f for f in fs])),
+    "bamboo \\d+: h_i \\* q_i = .* exceeds 2H = ": ("_dyadic_schedule", _stretched),
     "realized height": ("_allocate_dyadic", _shifted_offsets),
 }
 
@@ -503,6 +509,17 @@ def test_two_approx_certificates_raise(monkeypatch, message):
     monkeypatch.setattr(pinwheel, name, broken)
     with pytest.raises(CertificateError, match=message):
         two_approx(rates)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certify_heights_names_the_bamboo_that_breaks_the_bound(k):
+    rates = RateVector([F(1, 2), F(1, 4), F(1, 4)])
+    pairs = [(1, 2), (2, 4), (4, 4)]
+    pinwheel._certify_heights(rates, pairs, rates.H * 2, "2H")
+    pairs[k - 1] = (k, 2 * pairs[k - 1][1] + 1)  # bamboo k alone now peaks above 2H
+    with pytest.raises(CertificateError) as err:
+        pinwheel._certify_heights(rates, pairs, rates.H * 2, "2H")
+    assert str(err.value).startswith(f"bamboo {k}: ")
 
 
 def _run_under_O(body: str, *args: str) -> str:
