@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, cycle, islice, repeat
@@ -348,6 +348,10 @@ def validate_residue(schedule: ResidueSchedule) -> None:
             f"{len(pairs)} bamboos is above {work} steps"
         )
     periods = sorted(groups)
+    # group q2 reduced mod g is kept from its first use to its last: the pairs
+    # (q, q2) with gcd(q, q2) = g all share it
+    uses = Counter((q2, gcd(q, q2)) for a, q in enumerate(periods) for q2 in periods[a + 1 :])
+    theirs: dict[tuple[int, int], list[int]] = {}
     for a, q in enumerate(periods):
         group = groups[q]
         reduced = {q: residues[q]}  # gcd -> the group's offsets mod gcd
@@ -356,7 +360,14 @@ def validate_residue(schedule: ResidueSchedule) -> None:
             mine = reduced.get(g)
             if mine is None:
                 mine = reduced[g] = {r % g for r in group}
-            if not mine.isdisjoint([r % g for r in groups[q2]]):
+            key = q2, g
+            other = theirs.pop(key, None)
+            if other is None:
+                other = [r % g for r in groups[q2]]
+            uses[key] -= 1
+            if uses[key]:
+                theirs[key] = other
+            if not mine.isdisjoint(other):
                 owner = {p % g: i for i, (p, qi) in enumerate(pairs, start=1) if qi == q}
                 j = next(
                     j for j, (p, qj) in enumerate(pairs, start=1) if qj == q2 and p % g in owner
@@ -720,9 +731,13 @@ def load_instance(source: IO[str] | str):
 def instance_to_dict(obj) -> dict:
     if isinstance(obj, RateVector):
         return {"rates": [str(r) for r in obj.rates]}
+    # each travel time is an exact integer tick over one scale: a symmetric
+    # matrix repeats its entries, and each distinct tick is formatted once
+    rows, scale = obj._ticks.tolist(), obj._scale
+    text = {t: str(Fraction(t, scale)) for t in set(chain.from_iterable(rows))}
     return {
         "rates": [str(r) for r in obj.rates.rates],
-        "travel": [[str(x) for x in row] for row in obj.travel],
+        "travel": [list(map(text.__getitem__, row)) for row in rows],
         "start": obj.start,
     }
 
@@ -738,11 +753,9 @@ def load_schedule(source: IO[str] | str) -> CyclicSchedule:
         raise InstanceFormatError("document", "schedule file must be a JSON object")
     if "residue" in doc:
         pairs = doc["residue"]
-        if not isinstance(pairs, list) or any(
-            not isinstance(pq, list) or len(pq) != 2 for pq in pairs
-        ):
+        if not isinstance(pairs, list):
             raise InstanceFormatError("residue", "must be a list of [offset, period] pairs")
-        try:
+        try:  # ResidueSchedule names the first entry that is no such pair
             return ResidueSchedule(pairs)
         except ScheduleError as exc:
             raise InstanceFormatError("residue", str(exc))

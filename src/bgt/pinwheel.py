@@ -2,14 +2,17 @@
 
 The centerpiece is main_algorithm: starting from target frequencies
 f''_i = (1+delta)H/h_i with delta an exact rational upper stand-in for
-3*sqrt(h_1/H), it rounds every frequency down onto the grid 2^k*(1+j/C),
-merges equal frequencies by one rule, m copies of m*f -> one f (m = 2 above
-the lowest layer; m = C+j copies of 2^min*(1+j/C) -> one power of two in
-it), pushes stragglers into the next lower group, and finally assigns the
+3*sqrt(h_1/H), it rounds every frequency down onto the grid 2^k*(1+j/C)
+(one run of bamboos per grid value, since the rates are sorted), merges
+equal frequencies by one rule, m copies of m*f -> one f (m = 2 above the
+lowest layer; m = C+j copies of 2^min*(1+j/C) -> one power of two in it),
+pushes stragglers into the next lower group, and finally assigns the
 surviving powers of two pairwise-disjoint residue classes by dyadic (buddy)
-allocation.  Expansion trees remember every merge: a node is a bamboo's
-index or the tuple of the nodes merged into it, and its frequency is its
-bucket's.  Unfolding them gives the bamboos their (p_i, q_i) pairs, with
+allocation.  Expansion trees remember every merge in one flat forest: a
+node is an int id, 1..n a bamboo and n+1, n+2, ... a merged node whose
+children sit in one shared child list; its frequency is its bucket's.
+Unfolding the trees one level at a time, with numpy over all nodes of the
+level, gives the bamboos their (p_i, q_i) pairs, with
 h_i * q_i <= (1+delta)H.  The schedulers here return `ResidueSchedule`s;
 `bgt.core.next_cuts_stream` unrolls them round by round.
 
@@ -23,12 +26,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import Sequence
+
+import numpy as np
 
 from .core import CertificateError, RateVector, ResidueSchedule, integer_weights
 
@@ -75,9 +82,10 @@ def sqrt_upper(x: Fraction) -> Fraction:
 # Expansion trees
 # ---------------------------------------------------------------------------
 
-# A node is a bamboo's 1-based index, or the tuple of the nodes merged into
-# it, in order.  Its frequency is its bucket's, so a node stores none.
-Node = int | tuple
+# A node is an int id: 1..n is a bamboo, and n+1, n+2, ... are merged nodes,
+# numbered in the order they are made.  Its frequency is its bucket's, so a
+# node stores none.
+Node = int
 
 
 @dataclass
@@ -87,13 +95,18 @@ class FrequencyForest:
     An entry in bucket (k, j) has frequency 2^k + j*2^(k-q) = 2^k*(1+j/C).
     Group j = 0 is kept directly in `powers` as (node, frequency) pairs:
     these roots are powers of two, and nothing merges them further.
+    Merged node n + 1 + i has `degrees[i]` children, which follow those of
+    the merged nodes before it in the one flat list `children`.
     """
 
     min_layer: int
     q: int
     C: int
+    n: int = 0  # the bamboos are nodes 1..n
     buckets: dict[tuple[int, int], list[Node]] = field(default_factory=dict)
     powers: list[tuple[Node, int]] = field(default_factory=list)
+    children: list[Node] = field(default_factory=list)
+    degrees: list[int] = field(default_factory=list)
     obs1_count: int = 0
     obs2_count: int = 0
 
@@ -115,22 +128,28 @@ def _merge(forest: FrequencyForest, layer: int, group: int) -> None:
     lowest layer m = 2 (Observation 1) and the merged nodes go one layer
     down in the same group; in the lowest layer m = C + group
     (Observation 2) and they are the power of two 2^(min-q).  Fewer than m
-    nodes are left behind.  The identities are asserted.
+    nodes are left behind.  The identities are asserted.  The merged nodes
+    get the next free ids, and their children, m each, go to the end of the
+    forest's child list.
     """
     nodes = forest.buckets[layer, group]
     f = forest.grid_freq(layer, group)
     lowest = layer == forest.min_layer
     m = forest.C + group if lowest else 2
     assert f % m == 0, f"{m} copies of 1/{f} would change the density"
-    merged = list(zip(*[iter(nodes)] * m))  # consecutive m-tuples, in order
-    del nodes[:len(merged) * m]
+    cnt = len(nodes) // m
+    first = forest.n + 1 + len(forest.degrees)
+    merged = range(first, first + cnt)
+    forest.children += nodes[: cnt * m]  # consecutive m-groups, in order
+    forest.degrees += repeat(m, cnt)
+    del nodes[: cnt * m]
     if lowest:
         assert f // m == 1 << (forest.min_layer - forest.q), "C + j copies make 2^(min-q)"
-        forest.powers.extend((nd, f // m) for nd in merged)
-        forest.obs2_count += len(merged)
+        forest.powers += zip(merged, repeat(f // m))
+        forest.obs2_count += cnt
     else:
         forest.buckets.setdefault((layer - 1, group), []).extend(merged)
-        forest.obs1_count += len(merged)
+        forest.obs1_count += cnt
 
 
 def _push_down(forest: FrequencyForest, layer: int, group: int, node: Node) -> None:
@@ -194,7 +213,7 @@ def schedule_powers_of_two(freqs: Sequence[int]) -> ResidueSchedule:
 
 def _dyadic_schedule(freqs: list[int]) -> ResidueSchedule:
     offsets = _allocate_dyadic(freqs)
-    return ResidueSchedule(tuple((a + 1, f) for a, f in zip(offsets, freqs)))
+    return ResidueSchedule(tuple(zip([a + 1 for a in offsets], freqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +270,25 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     max_layer = (P // (b * w[-1])).bit_length() - 1
     q = min_layer // 2
     C = 1 << q
-    forest = FrequencyForest(min_layer, q, C)
+    forest = FrequencyForest(min_layer, q, C, n)
 
-    # step 2: round down to the largest grid value <= f''_i; rates are sorted,
-    # so equal weights come in runs and share one rounding
-    prev = None
-    for idx, w_i in enumerate(w, start=1):
-        if w_i != prev:
-            prev = w_i
-            Q = b * w_i
-            k = (P // Q).bit_length() - 1
-            j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
-            assert 0 <= j < C and k >= min_layer, "2^k <= f''_i < 2^(k+1), f''_i >= f''_1"
-            if j:
-                bucket = forest.buckets.setdefault((k, j), [])
+    # step 2: round down to the largest grid value <= f''_i.  The weights do
+    # not increase, so f''_i does not decrease and each grid value takes one
+    # run of bamboos: lo up to the first whose f'' reaches the next grid value
+    lo = 0
+    while lo < n:
+        Q = b * w[lo]
+        k = (P // Q).bit_length() - 1
+        j = (P << q) // (Q << k) - C          # floor(f'' * C / 2^k) - C
+        assert 0 <= j < C and k >= min_layer, "2^k <= f''_i < 2^(k+1), f''_i >= f''_1"
+        # f''_i >= g exactly when w_i <= P // (b * g); grid_freq(k, C) = 2^(k+1)
+        hi = bisect_left(w, -(P // (b * forest.grid_freq(k, j + 1))), lo, key=neg)
+        run = range(lo + 1, hi + 1)
         if j:
-            bucket.append(idx)
+            forest.buckets[k, j] = list(run)
         else:
-            forest.powers.append((idx, 1 << k))
+            forest.powers += zip(run, repeat(1 << k))
+        lo = hi
 
     dens2 = forest.density()
     dens2_bound = (1 + Fraction(1, C)) / (1 + delta)
@@ -298,20 +318,9 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     if final_density > 1:
         raise CertificateError(f"final powers-of-two density {final_density} exceeds 1")
 
-    # step 6: residues for the roots, unfolded: child t of (a, m) gets (a + t*m, m*len(node))
-    offsets = _allocate_dyadic([f for _, f in forest.powers])
-    pairs: list[tuple[int, int] | None] = [None] * (n + 1)
-    stack = [(nd, a, f) for (nd, f), a in zip(forest.powers, offsets)]
-    while stack:
-        nd, a, m = stack.pop()
-        if type(nd) is int:
-            pairs[nd] = (a + 1, m)
-        else:
-            mm = m * len(nd)
-            stack.extend((ch, a + t * m, mm) for t, ch in enumerate(nd))
-    assert all(pq is not None for pq in pairs[1:]), "every bamboo is a leaf of one tree"
-
-    sched = ResidueSchedule(tuple(pairs[1:]))
+    # step 6: residues for the roots, unfolded through the trees
+    roots, freqs = zip(*forest.powers)
+    sched = ResidueSchedule(_unfold(forest, roots, _allocate_dyadic(freqs), freqs))
     realized = _certify_heights(rates, sched.pairs, bound, "(1+delta)H")
     K = (1 << min_layer) // (C * C)
     assert K in (1, 2), "min_layer = 2q or 2q + 1, so 2^min / C^2 is 1 or 2"
@@ -320,6 +329,43 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
         forest.obs1_count, forest.obs2_count, realized,
     )
     return sched, diag
+
+
+def _unfold(forest: FrequencyForest, roots, offsets, freqs) -> tuple[tuple[int, int], ...]:
+    """Every bamboo's (p_i, q_i) from its tree root's 0-based offset and period.
+
+    One level of all trees at a time: a leaf i at (a, m) gets (a + 1, m),
+    and child t of a node of degree d at (a, m) gets (a + t*m, m*d).
+    Offsets and periods are object arrays, so they stay exact Python ints
+    however large; ids, child starts and degrees are int64.
+    """
+    n = forest.n
+    degrees = np.array(forest.degrees, dtype=np.int64)
+    starts = degrees.cumsum() - degrees  # merged node n+1+i: children[starts[i]:][:degrees[i]]
+    children = np.array(forest.children, dtype=np.int64)
+    p = np.zeros(n + 1, dtype=object)
+    q = np.zeros(n + 1, dtype=object)
+    ids = np.array(roots, dtype=np.int64)
+    a = np.array(offsets, dtype=object)
+    m = np.array(freqs, dtype=object)
+    while True:
+        leaf = ids <= n
+        p[ids[leaf]] = a[leaf] + 1
+        q[ids[leaf]] = m[leaf]
+        if leaf.all():
+            break
+        inner = ~leaf
+        merged = ids[inner] - (n + 1)
+        deg = degrees[merged]
+        ends = deg.cumsum()
+        base = (ends - deg).repeat(deg)  # where each child's eldest sibling sits in the level
+        t = np.arange(len(base)) - base
+        ids = children[starts[merged].repeat(deg) + t]
+        m = m[inner]
+        a = a[inner].repeat(deg) + t * m.repeat(deg)
+        m = (m * deg).repeat(deg)
+    assert q[1:].all(), "every bamboo is a leaf of one tree"
+    return tuple(zip(p[1:].tolist(), q[1:].tolist()))
 
 
 def _certify_heights(rates: RateVector, pairs: Sequence, bound: Fraction, name: str) -> Fraction:
@@ -353,7 +399,12 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     """
     w, D = integer_weights(rates)
     W2 = 2 * rates.H.numerator * (D // rates.H.denominator)   # 2H * D
-    freqs = [1 << ((W2 // w_i).bit_length() - 1) for w_i in w]
+    freqs: list[int] = []  # one run of bamboos per power of two, as in main_algorithm
+    while (lo := len(freqs)) < len(w):
+        k = (W2 // w[lo]).bit_length() - 1
+        # W2 // w_i >= 2^(k+1) exactly when w_i <= W2 >> (k+1)
+        hi = bisect_left(w, -(W2 >> (k + 1)), lo, key=neg)
+        freqs += repeat(1 << k, hi - lo)
     dens = density(freqs)
     if dens > 1:
         raise CertificateError(f"two_approx frequencies have density {dens} > 1")

@@ -108,6 +108,16 @@ def test_verify_refuses_a_truncated_schedule_entry(tmp_path, inst715, capsys):
     assert "residue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "residue", ["[[1, 2], [3]]", "[[1, 2], [1, 2, 3]]", "[[1, 2], 5]", "[[1, true]]"]
+)
+def test_verify_refuses_a_residue_entry_that_is_no_pair(tmp_path, inst715, capsys, residue):
+    sched = tmp_path / "sched.json"
+    sched.write_text('{"residue": %s}' % residue)
+    assert main(["verify", inst715, "--schedule", str(sched)]) == 2
+    assert "residue" in capsys.readouterr().err
+
+
 def test_approx_eightfifths_emits_certificate(inst715, capsys):
     assert main(["approx", "eightfifths", inst715, "--oracle"]) == 0
     doc = _out_doc(capsys)

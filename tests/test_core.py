@@ -249,6 +249,9 @@ def _named_pair(err) -> tuple[int, int]:
         pytest.param(((2, 5), (3, 3)), 12, id="coprime"),
         pytest.param(((1, 4), (3, 6)), 9, id="shared-gcd"),
         pytest.param(((1, 4), (2, 6)), None, id="disjoint-mixed"),
+        # gcd(2, 8) = gcd(6, 8) = 2: periods 6 and 8 clash under the gcd that
+        # periods 2 and 8 met first, without a clash
+        pytest.param(((1, 2), (2, 6), (4, 8)), 20, id="repeated-gcd"),
     ],
 )
 def test_residue_disjointness_table(pairs, shared_round):
@@ -617,6 +620,21 @@ def test_load_schedule_refuses_non_integers(text, field, bad):
     assert err.value.field == field and bad in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "residue, bamboo",
+    [
+        pytest.param("[[1, 2], [3]]", 2, id="short-entry"),
+        pytest.param("[[1, 2], [1, 2, 3]]", 2, id="long-entry"),
+        pytest.param("[[1, 2], 5]", 2, id="entry-not-a-list"),
+        pytest.param("[[1, true]]", 1, id="bool-period"),
+    ],
+)
+def test_load_schedule_names_the_entry_that_is_no_pair(residue, bamboo):
+    with pytest.raises(InstanceFormatError) as err:
+        load_schedule('{"residue": %s}' % residue)
+    assert err.value.field == "residue" and f"bamboo {bamboo}: " in str(err.value)
+
+
 # --- the file writer against json.dump --------------------------------------
 
 _SCALAR = st.one_of(
@@ -690,6 +708,22 @@ def test_saved_files_are_json_dump_text():
         save(obj, buf)
         assert buf.getvalue() == json.dumps(to_dict(obj), indent=2, sort_keys=True) + "\n"
     assert load_instance(buf.getvalue()) == spiral.rates
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: bgt.gen_spiral(64), lambda: gen_random_metric(9, 3), lambda: gen_random_metric(40, 11)]
+)
+def test_saved_instance_matches_per_entry_formatting(make):
+    # the reference formats every travel entry on its own, as str(Fraction)
+    inst = make()
+    doc = {
+        "rates": [str(r) for r in inst.rates.rates],
+        "travel": [[str(x) for x in row] for row in inst.travel],
+        "start": inst.start,
+    }
+    buf = io.StringIO()
+    bgt.save_instance(inst, buf)
+    assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -392,6 +392,51 @@ def test_integer_paths_match_the_fraction_reference(name, rates):
         assert repr(evaluate_cyclic(rates, sched)) == repr(_reference_evaluate_residue(rates, sched))
 
 
+@st.composite
+def _grid_edge_rates(draw):
+    """Rates summing to 1 whose targets f'' = (1+delta)/h_i sit on a grid
+    value of main_algorithm's rounding or just beside it, in runs of equal
+    rates on both sides of a bucket edge: the off-by-one cases of a
+    bucket's run end."""
+    head = draw(st.sampled_from([F(1, 4), F(1, 9), F(1, 16), F(1, 30), F(1, 64)]))
+    scale = 1 + 3 * sqrt_upper(head)  # 1 + delta, fixed by the head alone as H = 1
+    min_layer = int(scale / head).bit_length() - 1
+    q = min_layer // 2
+    grid = [(1 << k) + (j << (k - q)) for k in range(min_layer, min_layer + 3) for j in range(1 << q)]
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(grid), st.sampled_from([-1, 0, 1]), st.integers(1, 5)),
+        min_size=1, max_size=10,
+    ))
+    rates = [head]
+    for g, side, count in picks:
+        h = scale / (g + F(side, 1000))  # f'' = g exactly when side = 0
+        if h <= head and sum(rates) + count * h < 1:
+            rates += [h] * count
+    rest = 1 - sum(rates)
+    fill = -(-rest // head)  # that many equal rates <= head make up the rest
+    return RateVector.sorted_from(rates + [rest / fill] * fill)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_edge_rates())
+def test_main_algorithm_matches_the_reference_at_bucket_edges(rates):
+    assert rates.H == 1
+    assert repr(main_algorithm(rates)) == repr(_reference_main_algorithm(rates))
+
+
+def test_periods_past_2_64_unfold_exactly():
+    # tails near 2^-70 * H get periods near 2^70: the unfold's offsets and
+    # periods must stay exact Python ints
+    tiny = [F(1, 2**70), F(3, 2**71), F(5, 2**72), F(1, 2**70), F(7, 2**73)]
+    rates = RateVector.sorted_from([F(1, 4)] + [F(1, 8)] * 5 + [F(1, 8) - sum(tiny)] + tiny)
+    sched, diag = main_algorithm(rates)
+    assert max(q for _, q in sched.pairs) > 2**64
+    assert repr((sched, diag)) == repr(_reference_main_algorithm(rates))
+    report = evaluate_cyclic(rates, sched)
+    assert report.global_max == diag.realized_max <= diag.bound
+    assert all(type(x) is int for pq in sched.pairs for x in pq)
+
+
 # sha256 of repr((main_algorithm(rates), two_approx(rates))) on the planted
 # inputs above.  `_reference_main_algorithm` shares its node representation
 # with `main_algorithm` and changes along with it; these digests pin the
@@ -627,16 +672,19 @@ def test_merge_identities_refuse_a_density_change():
 
 
 def test_merges_take_the_bucket_in_order():
-    forest = FrequencyForest(min_layer=2, q=1, C=2)
+    # bamboos 1..7; merged nodes are 8, 9, ... in the order they are made
+    forest = FrequencyForest(min_layer=2, q=1, C=2, n=7)
     forest.buckets[(3, 1)] = [1, 2, 3, 4, 5]  # grid_freq(3, 1) = 8 + 4
     _merge(forest, 3, 1)
     assert forest.buckets[(3, 1)] == [5]
     lower = forest.buckets[(2, 1)]
-    assert lower == [(1, 2), (3, 4)]
+    assert lower == [8, 9]
+    assert (forest.children, forest.degrees) == ([1, 2, 3, 4], [2, 2])
     assert forest.obs1_count == 2
     # C + 1 = 3 copies of 2^2 * (1 + 1/2) = 6 bundle into one 2^(2-1) = 2
     lower += [6, 7]
     _merge(forest, 2, 1)
     assert lower == [7]
-    assert forest.powers == [(((1, 2), (3, 4), 6), 2)]
+    assert forest.powers == [(10, 2)]
+    assert (forest.children, forest.degrees) == ([1, 2, 3, 4, 8, 9, 6], [2, 2, 3])
     assert forest.obs2_count == 1
