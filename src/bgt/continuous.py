@@ -45,10 +45,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CertificateError,
     InstanceFormatError,
     RateVector,
     ResidueSchedule,
+    _certify,
+    _report,
     frac,
     integer_weights,
 )
@@ -567,20 +568,19 @@ def discrete_as_continuous(rates: RateVector) -> tuple[ResidueSchedule, dict]:
     Bamboo i is cut every q_i rounds, each round costs at most one diameter
     of travel, so its height stays within (h_i * q_i) * D <= 2H * D; against
     the D*h_max lower bound that is a 2H/h_max approximation factor.
-    Raises CertificateError if a coefficient h_i * q_i exceeds 2H.
+    The coefficients h_i * q_i are the heights of a report on the periods,
+    certified by `core._certify` to be at most 2H.
     """
     sched = two_approx(rates)
-    per = []
-    worst = Fraction(0)
-    for i, (p, q) in enumerate(sched.pairs, start=1):
-        coeff = rates.rate(i) * q
-        worst = max(worst, coeff)
-        per.append({"index": i, "frequency": q, "coefficient": coeff})
-    if worst > 2 * rates.H:
-        raise CertificateError(f"two_approx coefficient {worst} exceeds 2H = {2 * rates.H}")
+    periods = [q for _, q in sched.pairs]
+    coeffs = _certify(_report(*integer_weights(rates), periods), 2 * rates.H, "2H")
+    per = [
+        {"index": i, "frequency": q, "coefficient": c}
+        for i, (q, c) in enumerate(zip(periods, coeffs.per_bamboo_max), start=1)
+    ]
     report = {
         "per_bamboo": per,
-        "max_coefficient": worst,
+        "max_coefficient": coeffs.global_max,
         "ratio_bound": 2 * rates.H / rates.rates[0],
     }
     return sched, report

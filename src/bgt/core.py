@@ -25,7 +25,10 @@ ScheduleError.  One reader, `_cyclic_gaps`, gives either form's gaps to
 `evaluate_cyclic` and to the lanes of `offline.eight_fifths`: max(p_i, q_i)
 per residue pair, a preamble + 2 periods gap scan for a list.
 `evaluate_cyclic` checks every residue schedule with `validate_residue`
-(exact, period group by period group, for any hyperperiod).
+(exact, period group by period group, for any hyperperiod).  Every
+scheduler-wide height bound (2H, (1+delta)H, the 8/5 global bound, OPT) is
+checked by one function, `_certify`, on a report from `_report`: an
+explicit raise of CertificateError, so it also runs under `python -O`.
 
 Conventions used throughout the package:
 
@@ -422,6 +425,18 @@ def _report(w, d, gaps, unit=1) -> SimulationReport:
     report.__dict__.update(
         global_max=Fraction(top, du), argmax_bamboo=tops.index(top) + 1, _heights=(tops, du)
     )
+    return report
+
+
+def _certify(report: SimulationReport, bound: Fraction, name: str) -> SimulationReport:
+    """The one check of a scheduler-wide height bound: the report back when
+    its global_max is at most `bound`, else CertificateError naming its
+    tallest bamboo (the lowest index on ties) and the bound as `name`.
+    """
+    if report.global_max > bound:
+        raise CertificateError(
+            f"bamboo {report.argmax_bamboo}: height {report.global_max} exceeds {name} = {bound}"
+        )
     return report
 
 

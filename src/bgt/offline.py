@@ -7,7 +7,8 @@ slot pattern such as (L, L, L, S), where large sets are scheduled optimally
 (state-space oracle) or by the 2-approximation, small sets by the main
 frequency-reduction algorithm, and the single largest bamboo may get slots
 of its own.  Every case comes with exact per-bamboo and per-token height
-certificates, checked against a full simulation of the merged schedule.
+certificates, checked against a full simulation of the merged schedule;
+the global bound is checked by `core._certify`, like every scheduler's.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     ListSchedule,
     RateVector,
     ResidueSchedule,
+    _certify,
     _cyclic_gaps,
     evaluate_cyclic,
     next_cuts_stream,
@@ -131,20 +133,15 @@ def merge_schedules(
 def _dilated_gap(pattern_len: int, offsets: Sequence[int], g: int) -> int:
     """Largest merged gap when a lane with sub-gap g owns the given slots.
 
-    Exact for the three shapes the dispatcher produces: a single slot
-    (gap g * P), evenly spaced slots (gap g * P/c), and a contiguous run
-    covering all but one slot (gap ceil(g * P / c), tight).
+    Exact for any slot shape: the lane's sub-round k falls in slot
+    offsets[k % c] of pattern cycle k // c, so g sub-rounds from slot s span
+    offsets[(s + g) % c] + P * ((s + g) // c) - offsets[s] merged rounds,
+    and the worst start is one of the c slots.
     """
     c = len(offsets)
-    if c == 1:
-        return pattern_len * g
-    diffs = [offsets[k + 1] - offsets[k] for k in range(c - 1)]
-    diffs.append(offsets[0] + pattern_len - offsets[-1])
-    if len(set(diffs)) == 1:
-        return (pattern_len // c) * g
-    if offsets[-1] - offsets[0] == c - 1 and pattern_len - c == 1:
-        return -(-g * pattern_len // c)
-    raise AssertionError(f"unsupported slot shape {offsets} in pattern of {pattern_len}")
+    return max(
+        offsets[(s + g) % c] + pattern_len * ((s + g) // c) - offsets[s] for s in range(c)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +325,7 @@ def eight_fifths(
             "oracle_fallback": ln.oracle_fallback,
         }
     per_bamboo.sort(key=lambda e: e["index"])
-    if report.global_max > global_bound:
-        raise CertificateError(f"global realized {report.global_max} exceeds {global_bound}")
+    _certify(report, global_bound, "global_bound")
 
     cert = {
         "case": case,

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import floor
 from typing import Sequence
 
-from .core import CertificateError, ListSchedule, RateVector, frac
+from .core import CertificateError, ListSchedule, RateVector, _certify, evaluate_cyclic, frac
 from .pinwheel import _int_frequencies, density
 
 DEFAULT_STATE_BUDGET = 10 ** 6
@@ -218,10 +218,11 @@ def optimal_height(
     in the cap: a larger cap only loosens every age limit).  A cap is refuted
     only by a search or by density > 1; density <= 5/6 lowers the upper end
     without a search.  The witness is extracted from the surviving reduced
-    graph at the optimal cap, which confirms it; its evaluate_cyclic
-    global_max equals the returned OPT exactly.
+    graph at the optimal cap, which confirms it, and its evaluate_cyclic
+    report is certified by `core._certify` to stay within OPT.
 
-    Raises CertificateError if the final cap admits no witness.
+    Raises CertificateError if the final cap admits no witness or the
+    witness exceeds it.
     """
     cands = opt_candidates(rates)
     lo, hi = 0, len(cands) - 1
@@ -247,7 +248,9 @@ def optimal_height(
     if witness is None:
         raise CertificateError(f"no witness schedule at the optimal cap {opt}")
     preamble, period = witness
-    return opt, ListSchedule(tuple(preamble), tuple(period), rates.n)
+    witness = ListSchedule(tuple(preamble), tuple(period), rates.n)
+    _certify(evaluate_cyclic(rates, witness), opt, "OPT")
+    return opt, witness
 
 
 def pinwheel_feasible(

@@ -17,9 +17,10 @@ h_i * q_i <= (1+delta)H.  The schedulers here return `ResidueSchedule`s;
 `bgt.core.next_cuts_stream` unrolls them round by round.
 
 The arithmetic runs on the integer weights w_i = h_i * D (`integer_weights`);
-densities are summed per distinct frequency.  The certified bounds raise
-CertificateError, so they hold under `python -O` too; the remaining
-`assert`s are internal invariants of the construction.
+densities are summed per distinct frequency.  The density bounds raise
+CertificateError, and `core._certify` checks every h_i * max(p_i, q_i)
+against the height bound, so both hold under `python -O` too; the
+remaining `assert`s are internal invariants of the construction.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import itemgetter, mul, neg
+from operator import neg
 from typing import Sequence
 
 import numpy as np
 
-from .core import CertificateError, RateVector, ResidueSchedule, integer_weights
+from .core import (
+    CertificateError, RateVector, ResidueSchedule, _certify, _cyclic_gaps, _report, integer_weights,
+)
 
 
-def density(freqs: Sequence[int]) -> Fraction:
+def density(freqs: Sequence[int] | Counter[int]) -> Fraction:
     """Sum of reciprocals; the necessary-feasibility measure.
 
-    Summed as count/f over the distinct frequencies.
+    Summed as count/f over the distinct frequencies (or a Counter's keys).
     """
     if not freqs:
         raise ValueError("need at least one frequency")
@@ -114,11 +117,12 @@ class FrequencyForest:
         return (1 << k) + (j << (k - self.q))
 
     def density(self) -> Fraction:
-        """Total density of the nodes in the buckets and the powers."""
-        freqs = [f for _, f in self.powers]
+        """Total density of the nodes in the buckets and the powers, counted
+        by bucket length."""
+        counts = Counter(f for _, f in self.powers)
         for (k, j), nodes in self.buckets.items():
-            freqs += [self.grid_freq(k, j)] * len(nodes)
-        return density(freqs)
+            counts[self.grid_freq(k, j)] += len(nodes)
+        return density(counts)
 
 
 def _merge(forest: FrequencyForest, layer: int, group: int) -> None:
@@ -321,12 +325,12 @@ def main_algorithm(rates: RateVector) -> tuple[ResidueSchedule, MainDiagnostics]
     # step 6: residues for the roots, unfolded through the trees
     roots, freqs = zip(*forest.powers)
     sched = ResidueSchedule(_unfold(forest, roots, _allocate_dyadic(freqs), freqs))
-    realized = _certify_heights(rates, sched.pairs, bound, "(1+delta)H")
+    report = _certify(_report(w, D, _cyclic_gaps(n, sched)), bound, "(1+delta)H")
     K = (1 << min_layer) // (C * C)
     assert K in (1, 2), "min_layer = 2q or 2q + 1, so 2^min / C^2 is 1 or 2"
     diag = MainDiagnostics(
         delta, bound, dens2, dens2_bound, final_density, min_layer, max_layer, C, K,
-        forest.obs1_count, forest.obs2_count, realized,
+        forest.obs1_count, forest.obs2_count, report.global_max,
     )
     return sched, diag
 
@@ -368,34 +372,12 @@ def _unfold(forest: FrequencyForest, roots, offsets, freqs) -> tuple[tuple[int, 
     return tuple(zip(p[1:].tolist(), q[1:].tolist()))
 
 
-def _certify_heights(rates: RateVector, pairs: Sequence, bound: Fraction, name: str) -> Fraction:
-    """A residue schedule's realized height, certified with every h_i * q_i to be <= bound.
-
-    Integer heights w_i * t are at most bound * D exactly when they are at
-    most cap = floor(bound * D).  C-speed passes; the first offending
-    bamboo is looked up only on failure.
-    """
-    w, D = integer_weights(rates)
-    cap = bound.numerator * D // bound.denominator
-    steady = max(map(mul, w, map(itemgetter(1), pairs)))
-    if steady > cap:
-        i = next(i for i, (w_i, (_, q_i)) in enumerate(zip(w, pairs)) if w_i * q_i > cap)
-        raise CertificateError(
-            f"bamboo {i + 1}: h_i * q_i = {rates.rates[i] * pairs[i][1]} exceeds {name} = {bound}"
-        )
-    # bamboo i peaks at h_i * max(p_i, q_i): the larger of the q and the p maxima
-    top = max(steady, max(map(mul, w, map(itemgetter(0), pairs))))
-    realized = Fraction(top, D)
-    if top > cap:
-        raise CertificateError(f"realized height {realized} exceeds the bound {bound}")
-    return realized
-
-
 def two_approx(rates: RateVector) -> ResidueSchedule:
     """2-approximation: round 2H/h_i down to a power of two, allocate residues.
 
     f_i >= H/h_i keeps the density at most sum(h_i/H) = 1, and
-    h_i * f_i <= 2H bounds every height; both are certified.
+    h_i * f_i <= 2H bounds every height (each offset is at most its
+    period); both are certified.
     """
     w, D = integer_weights(rates)
     W2 = 2 * rates.H.numerator * (D // rates.H.denominator)   # 2H * D
@@ -409,7 +391,7 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     if dens > 1:
         raise CertificateError(f"two_approx frequencies have density {dens} > 1")
     sched = _dyadic_schedule(freqs)
-    _certify_heights(rates, sched.pairs, 2 * rates.H, "2H")
+    _certify(_report(w, D, _cyclic_gaps(len(w), sched)), 2 * rates.H, "2H")
     return sched
 
 

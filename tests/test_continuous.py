@@ -581,7 +581,7 @@ def test_discrete_as_continuous_raises_on_a_broken_certificate(monkeypatch):
     rates = RateVector([F(1, 2), F(1, 4), F(1, 4)])
     broken = ResidueSchedule(((1, 8), (2, 8), (3, 8)))  # h_1 * q_1 = 4 > 2H
     monkeypatch.setattr(continuous, "two_approx", lambda _: broken)
-    with pytest.raises(CertificateError, match="coefficient 4 exceeds 2H = 2"):
+    with pytest.raises(CertificateError, match="bamboo 1: height 4 exceeds 2H = 2"):
         discrete_as_continuous(rates)
 
 

@@ -46,6 +46,7 @@ from bgt import (
     two_approx,
     validate_residue,
 )
+from conftest import _run_under_O
 
 def test_frac_accepts_exact_forms():
     assert frac("7/15") == F(7, 15)
@@ -1157,3 +1158,59 @@ def test_replay_reports_match_their_pinned_digests():
         for name, r in _pinned_reports()
     }
     assert got == _PINNED
+
+
+# --- the one certificate path -------------------------------------------------
+
+
+def test_certify_names_the_tallest_bamboo_lowest_index_on_ties():
+    report = core._report([1, 1, 1, 1], 1, [1, 3, 2, 3])  # bamboos 2 and 4 tie at 3
+    assert core._certify(report, 3, "B") is report
+    with pytest.raises(bgt.CertificateError) as err:
+        core._certify(report, F(5, 2), "B")
+    assert str(err.value) == "bamboo 2: height 3 exceeds B = 5/2"
+
+
+def test_every_certificate_caller_raises_under_python_O():
+    out = _run_under_O(
+        """
+        import dataclasses
+        from fractions import Fraction
+        import bgt, bgt.continuous as co, bgt.offline as off, bgt.oracle as orc, bgt.pinwheel as pw
+
+        def attempt(call, *args):
+            try:
+                call(*args)
+                print("no error")
+            except bgt.CertificateError as exc:
+                print(exc)
+
+        planted = bgt.gen_planted_head(300, Fraction(1, 16), 4)
+        allocate = pw._allocate_dyadic
+        pw._allocate_dyadic = lambda freqs: [a + (1 << 40) for a in allocate(freqs)]
+        attempt(bgt.main_algorithm, planted)
+        attempt(bgt.two_approx, planted)
+        pw._allocate_dyadic = allocate
+
+        evaluate = off.evaluate_cyclic  # a report whose maximum disagrees with its bamboos
+        off.evaluate_cyclic = lambda rates, sched: dataclasses.replace(
+            evaluate(rates, sched), global_max=2 * evaluate(rates, sched).global_max
+        )
+        attempt(bgt.eight_fifths, bgt.RateVector([Fraction(3, 4), Fraction(1, 8), Fraction(1, 8)]), 2)
+
+        small = bgt.RateVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        co.two_approx = lambda rates: bgt.ResidueSchedule(((1, 8), (2, 8), (3, 8)))
+        attempt(bgt.discrete_as_continuous, small)
+        orc._walk = lambda limits, solved: ((), (1, 2, 3))  # bamboo 1 waits 3 rounds
+        attempt(bgt.optimal_height, small)
+        """
+    )
+    main, two, eight, dac, opt = out.splitlines()
+    assert main == (
+        "bamboo 1: height 1099511627793 exceeds (1+delta)H"
+        " = 32281802128991715331/1152921504606846976"
+    )
+    assert two == "bamboo 1: height 1099511627777 exceeds 2H = 32"
+    assert eight == "bamboo 1: height 3 exceeds global_bound = 7197274693713487283/4611686018427387904"
+    assert dac == "bamboo 1: height 4 exceeds 2H = 2"
+    assert opt == "bamboo 1: height 3/2 exceeds OPT = 1"

@@ -1,14 +1,9 @@
 """Case-dispatched offline scheduler and its exact certificates."""
 
 import hashlib
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
@@ -30,6 +25,7 @@ from bgt import (
 from bgt import offline
 from bgt.offline import _dilated_gap
 from bgt.oracle import DEFAULT_STATE_BUDGET
+from conftest import _run_under_O
 
 
 def test_default_group_count_small_n_stays_in_case_0():
@@ -69,8 +65,32 @@ def test_dilated_gap_shapes():
     assert _dilated_gap(4, [0, 2], 3) == 6        # evenly spaced
     assert _dilated_gap(4, [1, 3], 5) == 10
     assert _dilated_gap(4, [0, 1, 2], 5) == 7     # all but one slot: ceil(5*4/3)
-    with pytest.raises(AssertionError):
-        _dilated_gap(4, [0, 1], 3)                # irregular shape is refused
+    assert _dilated_gap(4, [0, 1], 3) == 7        # irregular: sub-rounds 2 to 5 span 1 to 8
+
+
+def test_dilated_gap_matches_a_merged_schedule():
+    # every slot subset of patterns up to 6 slots: a bamboo its lane cuts
+    # every g sub-rounds waits at most _dilated_gap merged rounds, and exactly
+    # that long from some start.  Starting after r < g idle sub-rounds keeps
+    # the first wait within one of g, and the r reach every slot as a start
+    for size in range(1, 7):
+        for mask in range(1, 1 << size):
+            offsets = [k for k in range(size) if mask >> k & 1]
+            pattern = ["A" if mask >> k & 1 else "B" for k in range(size)]
+            idle = {"B": (ListSchedule((), (0,), 0), ())} if len(offsets) < size else {}
+            for g in range(1, 8):
+                merged = max(
+                    evaluate_cyclic(
+                        RateVector([1]),
+                        merge_schedules(
+                            pattern,
+                            {"A": (ListSchedule((0,) * r, (1,) + (0,) * (g - 1), 1), (1,)), **idle},
+                            1,
+                        ),
+                    ).global_max
+                    for r in range(min(g, len(offsets)))
+                )
+                assert _dilated_gap(size, offsets, g) == merged, (offsets, size, g)
 
 
 def test_merge_schedules_manual_example():
@@ -194,12 +214,10 @@ def test_certificate_raises_on_an_under_reported_gap(monkeypatch):
 
 
 def test_certificates_survive_python_O():
-    script = textwrap.dedent(
+    out = _run_under_O(
         """
         from fractions import Fraction
         import bgt, bgt.offline as off
-        if __debug__:
-            raise SystemExit("expected to run under python -O")
         real = off._dilated_gap
         off._dilated_gap = lambda pattern_len, offsets, g: real(pattern_len, offsets, g) - 1
         try:
@@ -208,13 +226,7 @@ def test_certificates_survive_python_O():
             print("raised:", exc)
         """
     )
-    src = str(Path(offline.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: bamboo 1: realized 3/2 vs bound 3/4")
+    assert out.startswith("raised: bamboo 1: realized 3/2 vs bound 3/4")
 
 
 # --- what the lanes' gap reader must keep ------------------------------------

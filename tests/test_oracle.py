@@ -242,6 +242,13 @@ def test_missing_witness_is_an_explicit_error(monkeypatch):
         optimal_height(RateVector([F(1, 2), F(1, 4), F(1, 4)]))
 
 
+def test_a_witness_above_opt_is_an_explicit_error(monkeypatch):
+    # cutting 1, 2, 3 in turn lets bamboo 1 wait 3 rounds: height 3/2 > OPT = 1
+    monkeypatch.setattr(bgt.oracle, "_walk", lambda limits, solved: ((), (1, 2, 3)))
+    with pytest.raises(CertificateError, match="bamboo 1: height 3/2 exceeds OPT = 1"):
+        optimal_height(RateVector([F(1, 2), F(1, 4), F(1, 4)]))
+
+
 def test_stuck_witness_walk_is_an_explicit_error():
     # a start state marked alive although its only successor is a dead end
     with pytest.raises(CertificateError):

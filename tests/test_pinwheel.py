@@ -2,15 +2,10 @@
 
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from collections import Counter
 from fractions import Fraction as F
 from math import isqrt, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +35,7 @@ from bgt import (
 from bgt import core, pinwheel
 from bgt.core import integer_weights
 from bgt.pinwheel import FrequencyForest, _allocate_dyadic, _dyadic_schedule, _merge, _push_down
+from conftest import _run_under_O
 
 ONE_PLUS = F(1 << 30 | 1, 1 << 30)  # relative slack guaranteed by sqrt_upper
 
@@ -503,18 +499,25 @@ def _push_to_one(forest, layer, group, node):
     forest.powers.append((node, 1))
 
 
+def _shifted_offsets(freqs):
+    return [a + (1 << 40) for a in _allocate_dyadic(freqs)]
+
+
+_MAIN_BOUND = "bamboo \\d+: height .* exceeds \\(1\\+delta\\)H = "
+
+# what each case breaks -> (the name patched, its broken stand-in, the message)
 _BROKEN_STEPS = {
     # weights that disagree with H halve every target frequency
-    "rounded density": ("integer_weights", _inflated_weights),
-    "final powers-of-two density": ("_push_down", _push_to_one),
-    "h_i \\* q_i = ": ("_push_down", _push_up),
-    "realized height": ("_allocate_dyadic", lambda fs: [a + (1 << 40) for a in _allocate_dyadic(fs)]),
+    "rounded density": ("integer_weights", _inflated_weights, "rounded density"),
+    "final powers-of-two density": ("_push_down", _push_to_one, "final powers-of-two density"),
+    "periods pushed up": ("_push_down", _push_up, _MAIN_BOUND),
+    "offsets shifted": ("_allocate_dyadic", _shifted_offsets, _MAIN_BOUND),
 }
 
 
-@pytest.mark.parametrize("message", sorted(_BROKEN_STEPS))
-def test_main_algorithm_certificates_raise(monkeypatch, message):
-    name, broken = _BROKEN_STEPS[message]
+@pytest.mark.parametrize("step", sorted(_BROKEN_STEPS))
+def test_main_algorithm_certificates_raise(monkeypatch, step):
+    name, broken, message = _BROKEN_STEPS[step]
     rates = gen_planted_head(300, F(1, 16), 4)
     main_algorithm(rates)  # the unbroken run certifies
     monkeypatch.setattr(pinwheel, name, broken)
@@ -529,10 +532,6 @@ def test_two_approx_density_certificate_raises(monkeypatch):
         two_approx(rates)
 
 
-def _shifted_offsets(freqs):
-    return [a + (1 << 40) for a in _allocate_dyadic(freqs)]
-
-
 def _stretched(freqs):
     """Periods 5/4 as long: every h_i * q_i stays below 3H, the tallest pass 2H."""
     return ResidueSchedule(tuple((p, q * 5 // 4) for p, q in _dyadic_schedule(freqs).pairs))
@@ -540,19 +539,19 @@ def _stretched(freqs):
 
 _TWO_APPROX_BROKEN_STEPS = {
     # doubled periods halve the density but put every h_i * q_i above 2H
-    "h_i \\* q_i = .* exceeds 2H": ("_dyadic_schedule", lambda fs: _dyadic_schedule([2 * f for f in fs])),
-    "bamboo \\d+: h_i \\* q_i = .* exceeds 2H = ": ("_dyadic_schedule", _stretched),
-    "realized height": ("_allocate_dyadic", _shifted_offsets),
+    "periods doubled": ("_dyadic_schedule", lambda fs: _dyadic_schedule([2 * f for f in fs])),
+    "periods stretched": ("_dyadic_schedule", _stretched),
+    "offsets shifted": ("_allocate_dyadic", _shifted_offsets),
 }
 
 
-@pytest.mark.parametrize("message", sorted(_TWO_APPROX_BROKEN_STEPS))
-def test_two_approx_certificates_raise(monkeypatch, message):
-    name, broken = _TWO_APPROX_BROKEN_STEPS[message]
+@pytest.mark.parametrize("step", sorted(_TWO_APPROX_BROKEN_STEPS))
+def test_two_approx_certificates_raise(monkeypatch, step):
+    name, broken = _TWO_APPROX_BROKEN_STEPS[step]
     rates = gen_planted_head(300, F(1, 16), 4)
     two_approx(rates)  # the unbroken run certifies
     monkeypatch.setattr(pinwheel, name, broken)
-    with pytest.raises(CertificateError, match=message):
+    with pytest.raises(CertificateError, match="bamboo \\d+: height .* exceeds 2H = "):
         two_approx(rates)
 
 
@@ -560,25 +559,16 @@ def test_two_approx_certificates_raise(monkeypatch, message):
 def test_certify_heights_names_the_bamboo_that_breaks_the_bound(k):
     rates = RateVector([F(1, 2), F(1, 4), F(1, 4)])
     pairs = [(1, 2), (2, 4), (4, 4)]
-    pinwheel._certify_heights(rates, pairs, rates.H * 2, "2H")
+
+    def certify():
+        gaps = core._cyclic_gaps(rates.n, ResidueSchedule(pairs))
+        return core._certify(core._report(*integer_weights(rates), gaps), rates.H * 2, "2H")
+
+    certify()
     pairs[k - 1] = (k, 2 * pairs[k - 1][1] + 1)  # bamboo k alone now peaks above 2H
     with pytest.raises(CertificateError) as err:
-        pinwheel._certify_heights(rates, pairs, rates.H * 2, "2H")
+        certify()
     assert str(err.value).startswith(f"bamboo {k}: ")
-
-
-def _run_under_O(body: str, *args: str) -> str:
-    """Run `body` under python -O with bgt importable; return its stdout."""
-    script = "if __debug__:\n    raise SystemExit('expected to run under python -O')\n"
-    script += textwrap.dedent(body)
-    src = str(Path(pinwheel.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_certificates_survive_python_O():
@@ -602,7 +592,8 @@ def test_certificates_survive_python_O():
         """
     )
     assert out.startswith("raised: final powers-of-two density")
-    assert out.splitlines()[1].startswith("raised: realized height")
+    assert out.splitlines()[1].startswith("raised: bamboo ")
+    assert " exceeds 2H = " in out.splitlines()[1]
 
 
 def test_density_34_certificate_survives_python_O():
