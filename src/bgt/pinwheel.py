@@ -391,7 +391,7 @@ def two_approx(rates: RateVector) -> ResidueSchedule:
     if dens > 1:
         raise CertificateError(f"two_approx frequencies have density {dens} > 1")
     sched = _dyadic_schedule(freqs)
-    _certify(_report(w, D, _cyclic_gaps(len(w), sched)), 2 * rates.H, "2H")
+    _certify(_report(w, D, _cyclic_gaps(rates.n, sched)), 2 * rates.H, "2H")
     return sched
 
 

@@ -65,10 +65,7 @@ def test_dilated_gap_shapes():
     assert _dilated_gap(4, [0, 2], 3) == 6        # evenly spaced
     assert _dilated_gap(4, [1, 3], 5) == 10
     assert _dilated_gap(4, [0, 1, 2], 5) == 7     # all but one slot: ceil(5*4/3)
-    assert _dilated_gap(4, [0, 1], 3) == 7        # irregular: sub-rounds 2 to 5 span 1 to 8
-
-
-def test_dilated_gap_matches_a_merged_schedule():
+    assert _dilated_gap(4, [0, 1], 3) == 7        # irregular: 3 sub-rounds from slot 1 span 7
     # every slot subset of patterns up to 6 slots: a bamboo its lane cuts
     # every g sub-rounds waits at most _dilated_gap merged rounds, and exactly
     # that long from some start.  Starting after r < g idle sub-rounds keeps
