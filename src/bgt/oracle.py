@@ -21,6 +21,15 @@ stored; the edge into it is marked instead.  The reduced graph is the image
 of the unreduced one, so it is never larger; the state budget counts the
 reduced states stored.
 
+A stored state is one Python int that packs the age vector into fixed-width
+fields of w = max(A).bit_length() + 1 bits, about n*w bits a state.  Ages
+never reach the top bit of their field, so growing every age is one
+addition, the due test is one addition and one mask (a biased head field
+sets its top bit exactly when its run is due), and cutting a run's oldest
+member is a mask and a shift.  The limits themselves come from the rates'
+integer weights, A_i = floor(floor(M Q) / w_i) with h_i = w_i / Q over
+their common denominator Q, without a Fraction division per rate.
+
 Two density rules, with D = sum of 1/A_i, avoid searches:
 
 * D > 1 refutes a cap outright (bamboo i needs a 1/A_i share of the
@@ -36,10 +45,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import floor
 from typing import Sequence
 
-from .core import CertificateError, ListSchedule, RateVector, _certify, evaluate_cyclic, frac
+from .core import (
+    CertificateError, ListSchedule, RateVector, _certify, evaluate_cyclic, frac, integer_weights,
+)
 from .pinwheel import _int_frequencies, density
 
 DEFAULT_STATE_BUDGET = 10 ** 6
@@ -74,26 +84,56 @@ def _build_graph(limits: Sequence[int], state_budget: int):
     where order[k] is the k-th discovered state and succs[k] holds, per run
     in index order, the id of the state reached by cutting that run's oldest
     member, or -1 when that state would be a dead end.
+
+    A state is one int: age i sits in a field of w = max(limits).bit_length()
+    + 1 bits, field 0 the most significant.  A grown age is at most its limit,
+    below 2^(w-1), so no field carries into the next, and each step is one
+    big-int operation per state or per run:
+
+    * grow: ``grown = state + ONES`` (a 1 in every field);
+    * due test: ``d = (grown + BIAS) & FLAGS``, where BIAS adds 2^(w-1) - lim
+      to each run's head field, so that field's top bit is set exactly when
+      the head is due; ``d & (d - 1)`` means two runs are due (a dead end)
+      and ``flag_run[d]`` names the single due run;
+    * the run's next oldest is due as well: ``grown >> nxt & FIELD >= lim``;
+    * cut the run's oldest member: keep the other fields and shift the run's
+      younger members up one field, ``grown & KEEP | (grown & TAIL) << w``,
+      which leaves 0 in the run's last field.
     """
-    runs = _runs(limits)
-    heads = [(a, limits[a]) for a, _ in runs]  # a run's first entry is its oldest
-    start = (0,) * len(limits)
-    index = {start: 0}
-    order = [start]
+    n = len(limits)
+    w = limits[-1].bit_length() + 1
+    top = 1 << (w - 1)
+    field = (1 << w) - 1
+    full = (1 << (n * w)) - 1
+    ones = full // field  # a 1 at the bottom of every field
+    bias = flags = 0
+    flag_run = {}
+    cuts = []  # per run: (index, next-oldest shift or -1, limit, KEEP, TAIL)
+    for r, (a, b) in enumerate(_runs(limits)):
+        lim = limits[a]
+        shift = (n - 1 - a) * w  # position of the run's head field
+        bias += (top - lim) << shift
+        flags |= top << shift
+        flag_run[top << shift] = r
+        rmask = ((1 << ((b - a) * w)) - 1) << ((n - b) * w)
+        tail = rmask & ~(field << shift)
+        cuts.append((r, shift - w if b - a > 1 else -1, lim, full ^ rmask, tail))
+    index = {0: 0}
+    order = [0]
     succs: list[list[int]] = []
+    nruns = len(cuts)
     head = 0
     while head < len(order):
-        grown = tuple([a + 1 for a in order[head]])
+        grown = order[head] + ones
         head += 1
-        row = [-1] * len(runs)
+        row = [-1] * nruns
         # a run whose oldest member reaches its limit must be cut this round
-        due = [r for r, (a, lim) in enumerate(heads) if grown[a] >= lim]
-        if len(due) < 2:
-            for r in due or range(len(runs)):
-                a, b = runs[r]
-                if b - a > 1 and grown[a + 1] >= limits[a]:
+        d = (grown + bias) & flags
+        if not d & (d - 1):
+            for r, nxt, lim, keep, tail in (cuts[flag_run[d]],) if d else cuts:
+                if nxt >= 0 and grown >> nxt & field >= lim:
                     continue  # the run's next oldest would be due as well
-                t = grown[:a] + grown[a + 1:b] + (0,) + grown[b:]
+                t = grown & keep | (grown & tail) << w
                 k = index.get(t)
                 if k is None:
                     k = len(order)
@@ -177,8 +217,11 @@ def _walk(limits: Sequence[int], solved):
 
 
 def _limits_for_cap(rates: RateVector, cap: Fraction) -> list[int]:
-    # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i); non-decreasing in i
-    return [floor(cap / h) for h in rates.rates]
+    # (a+1) * h_i <= cap  <=>  a+1 <= floor(cap / h_i) = floor(floor(cap q) / w_i)
+    # with h_i = w_i / q; non-decreasing in i
+    w, q = integer_weights(rates)
+    t = cap.numerator * q // cap.denominator
+    return [t // wi for wi in w]
 
 
 def feasible_under_cap(

@@ -1,10 +1,14 @@
 """Exact optimum search and Pinwheel feasibility decisions."""
 
+import hashlib
 import random
 from collections import deque
 from fractions import Fraction as F
+from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bgt.oracle
 from bgt import (
@@ -253,3 +257,114 @@ def test_stuck_witness_walk_is_an_explicit_error():
     # a start state marked alive although its only successor is a dead end
     with pytest.raises(CertificateError):
         bgt.oracle._walk([2, 2], ([[-1]], [False]))
+
+
+def _reference_build_graph(limits, state_budget):
+    """The reduced graph built on age tuples: the oracle's builder before its
+    states were packed into one int each, kept as the reference for it."""
+    runs = bgt.oracle._runs(limits)
+    heads = [(a, limits[a]) for a, _ in runs]  # a run's first entry is its oldest
+    start = (0,) * len(limits)
+    index = {start: 0}
+    order = [start]
+    succs = []
+    head = 0
+    while head < len(order):
+        grown = tuple([a + 1 for a in order[head]])
+        head += 1
+        row = [-1] * len(runs)
+        # a run whose oldest member reaches its limit must be cut this round
+        due = [r for r, (a, lim) in enumerate(heads) if grown[a] >= lim]
+        if len(due) < 2:
+            for r in due or range(len(runs)):
+                a, b = runs[r]
+                if b - a > 1 and grown[a + 1] >= limits[a]:
+                    continue  # the run's next oldest would be due as well
+                t = grown[:a] + grown[a + 1:b] + (0,) + grown[b:]
+                k = index.get(t)
+                if k is None:
+                    k = len(order)
+                    if k >= state_budget:
+                        raise BudgetExceededError(state_budget, k)
+                    index[t] = k
+                    order.append(t)
+                row[r] = k
+        succs.append(row)
+    return order, succs
+
+
+def _graph_or_refusal(build, limits, state_budget):
+    try:
+        order, succs = build(limits, state_budget)
+    except BudgetExceededError as err:
+        return "refused", err.explored, str(err)
+    return "built", len(order), succs
+
+
+# limits from tiny to past 2^64, so that a field is wider than a machine word;
+# each value repeats to form a run, and the budget keeps every draw small
+_LIMIT = st.one_of(st.integers(1, 12), st.integers(1, 5000), st.integers(2**64 - 2, 2**66))
+_SORTED_LIMITS = st.lists(st.tuples(_LIMIT, st.integers(1, 4)), min_size=1, max_size=4).map(
+    lambda runs: sorted(v for v, m in runs for _ in range(m))[:7]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SORTED_LIMITS, st.integers(1, 4000))
+@example([3] + [18] * 10, 10**6)  # rm127 k = 1 at its OPT: 77,600 states
+@example([2, 2**64, 2**64, 2**64 + 1], 50)
+@example([1], 1)
+@example([2, 4, 8, 8], 1)
+def test_packed_graph_matches_the_tuple_builder(limits, state_budget):
+    # equal state counts and successor lists, or the same refusal
+    assert _graph_or_refusal(bgt.oracle._build_graph, limits, state_budget) == _graph_or_refusal(
+        _reference_build_graph, limits, state_budget
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 40), st.one_of(st.integers(1, 12), st.integers(1, 2**70))),
+        min_size=1, max_size=6,
+    ),
+    st.fractions(min_value=F(1, 10), max_value=3, max_denominator=50),
+    st.integers(0, 60),
+    st.booleans(),
+)
+def test_limits_for_cap_match_floor_of_cap_over_rate(fracs, scale, k, candidate):
+    rates = RateVector.sorted_from(F(num, den) for num, den in fracs)
+    # a cap anywhere from H/10 to 3H, or a candidate product k * h_i
+    cap = (k + 1) * rates.rates[k % rates.n] if candidate else scale * rates.H
+    assert bgt.oracle._limits_for_cap(rates, cap) == [floor(cap / h) for h in rates.rates]
+
+
+# sha256 of the repr of the list of (OPT, witness) pairs that optimal_height
+# returns, and of the pinwheel_witness results, as the oracle built them on
+# age tuples; the packed states must leave every witness bit-identical
+_PINNED_ORACLE = {
+    "criterion 1": "e45d7498b502f0567b1804fc97df32b19e1d32b597bf73ba778bc4cdb057cf26",
+    "differential instances": "bc237475cbb34deb39e42500fbba26799f47b84b1ff074e00cad7fb880bf5cc6",
+    "(5/12, 1/3, 1/3, 1/3, 1/4, 1/4)": "4b1c117f3dd1d877307f68046a474de0e81263e2b4c6bc7ee0cd7e3545571992",
+    "rm127 k=1": "b91de67ea9bded9a850301392e028cb175646512fd0ca339bb15cdd01f30ecd9",
+    "pinwheel witnesses": "729e36c0b5c17639e75c6d50fdc69c0333cc9f7a811c037b2c05d1491f2c3661",
+}
+
+
+def _pinned_oracle_outputs():
+    yield "criterion 1", [
+        optimal_height(RateVector(rates))
+        for rates in ([F(1, 2), F(1, 4), F(1, 4)], [F(7, 15), F(1, 3), F(1, 5)],
+                      [F(3, 4), F(1, 4)], [F(7, 8), F(1, 8)])
+    ]
+    yield "differential instances", [optimal_height(rates) for rates in _differential_instances()]
+    six = RateVector([F(5, 12), F(1, 3), F(1, 3), F(1, 3), F(1, 4), F(1, 4)])
+    yield "(5/12, 1/3, 1/3, 1/3, 1/4, 1/4)", [optimal_height(six)]
+    yield "rm127 k=1", [optimal_height(gen_reduce_max_12_7_family(1))]
+    freq_sets = ([3, 3, 3], [8, 2, 8, 4], [4, 8, 4, 4, 4], [3, 2, 3], [6, 2, 3, 6])
+    yield "pinwheel witnesses", [pinwheel_witness(freqs) for freqs in freq_sets]
+
+
+def test_oracle_outputs_match_their_pinned_digests():
+    got = {name: hashlib.sha256(repr(out).encode()).hexdigest() for name, out in _pinned_oracle_outputs()}
+    assert got == _PINNED_ORACLE
